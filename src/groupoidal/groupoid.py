@@ -17,7 +17,9 @@ The source-fiber measure over a unit is represented implicitly by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import UnknownIdError
@@ -126,6 +128,40 @@ class FiniteGroupoid:
     @property
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
+
+    @cached_property
+    def orbit_transport(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+        """One unit per orbit, and the arrow pairs that right translation must keep.
+
+        The orbit of a unit ``u`` is the set of sources of its range fiber.
+        The first unit of each orbit is its representative; every other
+        unit ``v`` of the orbit is reached by the first arrow ``x: v -> u``
+        of that fiber, and right translation ``gamma -> gamma x`` maps the
+        source fiber of ``u`` onto that of ``v``.  The pairs are
+        ``(inverse(gamma), inverse(gamma x))`` over all such ``v`` and
+        ``gamma``.  A unit whose transport is missing from the tables is
+        its own representative.
+        """
+        representatives: list[str] = []
+        pairs: list[tuple[str, str]] = []
+        covered: set[str] = set()
+        for u in self.units:
+            if u in covered:
+                continue
+            representatives.append(u)
+            covered.add(u)
+            for x in self._r_fibers[u]:
+                v = self._by_id[x].src
+                if v in covered or v not in self._r_fibers:
+                    continue
+                moved = [
+                    (self.inverse.get(g), self.inverse.get(self.compose.get((g, x), "")))
+                    for g in self._s_fibers[u]
+                ]
+                if all(a is not None and b is not None for a, b in moved):
+                    pairs.extend(moved)
+                    covered.add(v)
+        return tuple(representatives), tuple(pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,12 +381,14 @@ def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
 
 
 def validate_haar(groupoid: FiniteGroupoid, haar: HaarSystem) -> ValidationReport:
-    """Check full support and exact left invariance of a Haar system."""
+    """Check finite, full support and exact left invariance of a Haar system."""
     rep = ValidationReport(subject="haar")
     for a in groupoid.arrows:
         w = haar.weights.get(a.id)
         if w is None:
             rep.add("haar-domain", f"arrow {a.id!r} has no Haar weight", a.id)
+        elif not math.isfinite(w):
+            rep.add("haar-finite", f"arrow {a.id!r} has non-finite weight {w!r}", a.id)
         elif not (w > 0.0):
             rep.add("haar-support", f"arrow {a.id!r} has non-positive weight {w!r}", a.id)
     for aid in haar.weights:

@@ -1,26 +1,14 @@
-"""Dense complex linear algebra kernels, dependency-light and deterministic.
+"""Dense complex linear algebra kernels, taken from LAPACK through numpy.
 
-The eigensolver is a cyclic Jacobi iteration on Hermitian matrices with
-a fixed row-major pivot order, so repeated runs on the same input give
-bit-identical output.  For each pivot ``(p, q)`` the 2x2 block
-
-    [[a_pp, b], [conj(b), a_qq]]      b = |b| e^{i phi}
-
-is annihilated by the unitary with entries ``U[p,p] = c``,
-``U[p,q] = -s e^{i phi}``, ``U[q,p] = s e^{-i phi}``, ``U[q,q] = c``,
-where ``t = s / c`` is the stable root of ``t^2 + 2 tau t - 1 = 0`` and
-``tau = (a_pp - a_qq) / (2 |b|)``.  Sweeps stop when the off-diagonal
-Frobenius mass falls below ``1e-13`` relative to the matrix scale, when
-a sweep makes no further progress (the rounding floor), or after 100
-sweeps.
+Eigenvalues of Hermitian matrices come from ``np.linalg.eigvalsh`` on the
+symmetrised matrix, operator norms from the largest singular value of
+``np.linalg.svd`` and ranks from ``np.linalg.matrix_rank``.  Results are
+byte-stable within one numpy/LAPACK build; other builds may differ in
+the last bits, well inside every tolerance the suites pin.  Each kernel
+rejects non-finite entries before they reach LAPACK.
 """
 
 from __future__ import annotations
-
-import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -28,124 +16,40 @@ __all__ = [
     "hermitian_eigenvalues",
     "spectral_norm",
     "complex_rank",
-    "thread_count",
-    "parallel_map",
 ]
 
-T = TypeVar("T")
-U = TypeVar("U")
 
-OFF_DIAGONAL_TOL = 1e-13
-MAX_SWEEPS = 100
-
-
-def _off_mass(a: np.ndarray) -> float:
-    # summed directly off the diagonal: total minus diagonal cancels
-    # catastrophically when the off-diagonal part is tiny
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has non-finite entries")
 
 
-def hermitian_eigenvalues(
-    matrix: np.ndarray,
-    off_tol: float = OFF_DIAGONAL_TOL,
-    max_sweeps: int = MAX_SWEEPS,
-) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, by cyclic Jacobi."""
-    a = np.array(matrix, dtype=np.complex128)
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a Hermitian matrix, ascending."""
+    a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros(0)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise ValueError("matrix has non-finite entries")
-    a = (a + a.conj().T) / 2.0
-    threshold = off_tol * max(1.0, float(np.linalg.norm(a)))
-    previous = math.inf
-    for _ in range(max_sweeps):
-        off = _off_mass(a)
-        if off <= threshold or off >= previous:
-            break
-        previous = off
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                tau = (a[p, p].real - a[q, q].real) / (2.0 * mag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phase = apq / mag
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp + s * np.conj(phase) * colq
-                a[:, q] = -s * phase * colp + c * colq
-                rowp = a[p, :].copy()
-                rowq = a[q, :].copy()
-                a[p, :] = c * rowp + s * phase * rowq
-                a[q, :] = -s * np.conj(phase) * rowp + c * rowq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    return np.sort(np.diagonal(a).real)
+    _require_finite(a)
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value: square root of the top eigenvalue of ``M+ M``."""
+    """Largest singular value."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.size == 0:
         return 0.0
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise ValueError("matrix has non-finite entries")
-    eigenvalues = hermitian_eigenvalues(m.conj().T @ m)
-    return math.sqrt(max(float(eigenvalues[-1]), 0.0))
+    _require_finite(m)
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def complex_rank(matrix: np.ndarray, pivot_tol: float = 1e-9) -> int:
-    """Rank over the complex numbers by Gaussian elimination with partial pivoting."""
-    a = np.array(matrix, dtype=np.complex128)
+    """Rank over the complex numbers: singular values above ``pivot_tol``."""
+    a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2:
         raise ValueError(f"expected a 2d matrix, got shape {a.shape}")
-    rows, cols = a.shape
-    rank = 0
-    for col in range(cols):
-        if rank == rows:
-            break
-        magnitudes = np.abs(a[rank:, col])
-        pivot = int(np.argmax(magnitudes))
-        if magnitudes[pivot] <= pivot_tol:
-            continue
-        pivot += rank
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        factors = a[rank + 1 :, col] / a[rank, col]
-        a[rank + 1 :, :] -= np.outer(factors, a[rank, :])
-        rank += 1
-    return rank
-
-
-def thread_count() -> int:
-    """Worker cap from GROUPOIDAL_THREADS; 0 or unset picks the serial default."""
-    raw = os.environ.get("GROUPOIDAL_THREADS", "0")
-    try:
-        n = int(raw, 0)
-    except ValueError:
-        return 1
-    if n <= 0:
-        # auto: fixture-scale problems gain nothing from fan-out
-        return 1
-    return n
-
-
-def parallel_map(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Map ``fn`` over ``items``, fanning out only when a thread cap is set."""
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    if a.size == 0:
+        return 0
+    _require_finite(a)
+    return int(np.linalg.matrix_rank(a, tol=pivot_tol))

@@ -10,9 +10,11 @@ literal conjugate transpose.  In that basis the matrix of ``f`` is::
                      * sqrt(w(inverse(gamma)) / w(inverse(beta)))
 
 for ``gamma, beta`` in the source fiber.  The reduced norm is the
-largest operator norm over all units.  Atomic measures on the unit
-space induce block-diagonal direct sums; free actions on finite spaces
-induce the same matrices transported along orbits.
+largest operator norm over all units; units in one orbit give unitarily
+equivalent representations, so one unit per orbit reaches it whenever
+the Haar system allows.  Atomic measures on the unit space induce
+block-diagonal direct sums; free actions on finite spaces induce the
+same matrices transported along orbits.
 """
 
 from __future__ import annotations
@@ -26,12 +28,13 @@ from .algebra import AlgebraElement, rip
 from .equivalence import Bispace, GSpace
 from .errors import StructureBrokenError, UnknownIdError
 from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, i_norm, s_fiber
-from .numerics import complex_rank, hermitian_eigenvalues, parallel_map, spectral_norm
+from .numerics import hermitian_eigenvalues, spectral_norm
 
 __all__ = [
     "RepMatrix",
     "ind_delta",
     "operator_norm",
+    "norm_units",
     "reduced_norm",
     "ind_mu",
     "r_mu_rep",
@@ -83,13 +86,33 @@ def operator_norm(matrix: RepMatrix) -> float:
     return spectral_norm(matrix.entries)
 
 
+def norm_units(groupoid: FiniteGroupoid, haar: HaarSystem) -> tuple[str, ...]:
+    """One unit per orbit when right translation keeps every source mass, else every unit."""
+    representatives, pairs = groupoid.orbit_transport
+    weight = haar.weight
+    if all(weight(a) == weight(b) for a, b in pairs):
+        return representatives
+    return groupoid.units
+
+
 def reduced_norm(f: AlgebraElement, groupoid: FiniteGroupoid, haar: HaarSystem) -> float:
-    """Supremum over units of the per-unit representation norms."""
-    norms = parallel_map(
-        lambda u: spectral_norm(ind_delta(groupoid, haar, u, f).entries),
-        groupoid.units,
+    """Supremum over units of the per-unit representation norms.
+
+    Only one unit per orbit is solved when the Haar masses allow it.  For
+    a transport arrow ``x: v -> u`` (``FiniteGroupoid.orbit_transport``),
+    right translation ``gamma -> gamma x`` carries the matrix at ``u``
+    onto the matrix at ``v`` entry for entry exactly when
+    ``w(inverse(gamma x)) == w(inverse(gamma))`` for every ``gamma`` in the
+    source fiber of ``u``, which left invariance guarantees.  That guard is
+    checked with exact float equality on every call, since a
+    ``HaarSystem`` may be changed in place; if any pair differs, every
+    unit is solved.  Like the matrices themselves, the shortcut trusts the
+    tables to form a groupoid.
+    """
+    return max(
+        (spectral_norm(ind_delta(groupoid, haar, u, f).entries) for u in norm_units(groupoid, haar)),
+        default=0.0,
     )
-    return max(norms, default=0.0)
 
 
 def _check_atomic(mu: Mapping[str, float], known, kind: str) -> list[str]:
@@ -178,31 +201,26 @@ def r_mu_rep(
     return RepMatrix(tuple(basis), entries, weights)
 
 
-def reduced_kernel_dimension(
-    groupoid: FiniteGroupoid, haar: HaarSystem, pivot_tol: float = 1e-9
-) -> int:
+def reduced_kernel_dimension(groupoid: FiniteGroupoid, haar: HaarSystem) -> int:
     """Dimension of the joint kernel of every per-unit representation.
 
-    Stacks the matrices of all delta functions into one linear map from
-    the function space on the arrows and returns its nullity.
+    Stacking the matrices of all delta functions gives one linear map
+    from the function space on the arrows.  Its row ``(u, gamma, beta)``
+    has a single entry, in the column of ``gamma inverse(beta)``, so its
+    rank is the number of columns hit by a nonzero entry: an exact count,
+    with no pivot tolerance.
     """
-    n = len(groupoid.arrows)
-    blocks: list[np.ndarray] = []
+    hit: set[str] = set()
     for u in groupoid.units:
         fiber = s_fiber(groupoid, u)
-        k = len(fiber)
         roots = np.sqrt([haar.weight(groupoid.inv(g)) for g in fiber])
-        block = np.zeros((k * k, n), dtype=np.complex128)
         for j, beta in enumerate(fiber):
             inv_beta = groupoid.inv(beta)
             for i, gamma in enumerate(fiber):
                 a = groupoid.mul(gamma, inv_beta)
-                block[i * k + j, groupoid.arrow_index(a)] = haar.weight(a) * (
-                    roots[i] / roots[j]
-                )
-        blocks.append(block)
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, n), dtype=np.complex128)
-    return n - complex_rank(stacked, pivot_tol)
+                if haar.weight(a) * (roots[i] / roots[j]) != 0:
+                    hit.add(a)
+    return len(groupoid.arrows) - len(hit)
 
 
 def check_i_norm_bound(
@@ -239,28 +257,26 @@ def gram_min_eigenvalue(
     w_left: HaarSystem,
     w_right: HaarSystem,
     phis: Sequence[AlgebraElement],
+    inner=rip,
 ) -> float:
-    """Smallest eigenvalue over all units of the represented Gram blocks.
+    """Smallest eigenvalue over ``norm_units`` of the represented Gram blocks.
 
     The Gram matrix of right inner products is positive in every
     per-unit representation of the right groupoid; the minimum over all
     represented blocks certifies it (up to eigensolver accuracy).
+    ``inner`` is the right inner product, replaceable for fault injection.
     """
     H = Z.right_groupoid
     n = len(phis)
     if n == 0:
         return 0.0
-    grams = [[rip(phis[i], phis[j], Z, w_left) for j in range(n)] for i in range(n)]
+    grams = [[inner(phis[i], phis[j], Z, w_left) for j in range(n)] for i in range(n)]
     smallest = np.inf
-    for v in H.units:
-        rows = [
-            [ind_delta(H, w_right, v, grams[i][j]).entries for j in range(n)]
-            for i in range(n)
-        ]
-        block = np.block(rows)
-        block = (block + block.conj().T) / 2.0
-        eigenvalues = hermitian_eigenvalues(block)
-        smallest = min(smallest, float(eigenvalues[0]))
+    for v in norm_units(H, w_right):
+        block = np.block(
+            [[ind_delta(H, w_right, v, grams[i][j]).entries for j in range(n)] for i in range(n)]
+        )
+        smallest = min(smallest, float(hermitian_eigenvalues(block)[0]))
     return float(smallest)
 
 

@@ -280,7 +280,7 @@ def verify_imprimitivity(
     worst_low = 0.0
     for round_index in range(gram_rounds):
         phis = [random_element(Z.labels[2], Z.points, rng) for _ in range(3)]
-        low = gram_min_eigenvalue_injectable(Z, w_left, w_right, phis, inner_right)
+        low = gram_min_eigenvalue(Z, w_left, w_right, phis, inner=inner_right)
         worst_low = min(worst_low, low)
         report.record(
             max(0.0, -low) / gram_tol,
@@ -288,28 +288,6 @@ def verify_imprimitivity(
         )
     report.notes.append(f"gram worst min_eigenvalue={worst_low!r}")
     return report
-
-
-def gram_min_eigenvalue_injectable(Z, w_left, w_right, phis, inner_right):
-    if inner_right is rip:
-        return gram_min_eigenvalue(Z, w_left, w_right, phis)
-    import numpy as np
-
-    from .numerics import hermitian_eigenvalues
-
-    H = Z.right_groupoid
-    n = len(phis)
-    grams = [[inner_right(phis[i], phis[j], Z, w_left) for j in range(n)] for i in range(n)]
-    smallest = float("inf")
-    for v in H.units:
-        rows = [
-            [ind_delta(H, w_right, v, grams[i][j]).entries for j in range(n)]
-            for i in range(n)
-        ]
-        block = np.block(rows)
-        block = (block + block.conj().T) / 2.0
-        smallest = min(smallest, float(hermitian_eigenvalues(block)[0]))
-    return smallest
 
 
 def verify_full_projections(

@@ -98,6 +98,16 @@ class TestValidateHaar:
         report = validate_haar(g, HaarSystem({"g0": 1.0, "g1": 0.0}))
         assert "haar-support" in report.rules()
 
+    def test_infinite_weight_is_a_finiteness_violation(self, cyclic2):
+        g, _ = cyclic2
+        report = validate_haar(g, HaarSystem({"g0": 1.0, "g1": math.inf}))
+        assert report.rules() == {"haar-finite"}
+
+    def test_nan_weight_is_a_finiteness_violation(self, cyclic2):
+        g, _ = cyclic2
+        report = validate_haar(g, HaarSystem({"g0": math.nan, "g1": 1.0}))
+        assert report.rules() == {"haar-finite"}
+
     def test_missing_weight_is_a_domain_violation(self, cyclic2):
         g, _ = cyclic2
         report = validate_haar(g, HaarSystem({"g0": 1.0}))

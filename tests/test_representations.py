@@ -5,10 +5,14 @@ from hypothesis import strategies as st
 
 from groupoidal import (
     AlgebraElement,
+    Arrow,
+    FiniteGroupoid,
     GSpace,
     HaarSystem,
     Lcg,
     StructureBrokenError,
+    build_linking,
+    build_linking_haar,
     check_i_norm_bound,
     convolve,
     gram_min_eigenvalue,
@@ -29,9 +33,10 @@ from groupoidal.fixtures import (
     pair_trivialization,
     source_weighted_haar,
     transitive_equivalence,
+    transitive_groupoid,
 )
-from groupoidal.representations import RepMatrix
-from oracles import cyclic_index, dft_norm, svd_norm
+from groupoidal.representations import RepMatrix, norm_units
+from oracles import cyclic_index, dft_norm, gaussian_rank, stacked_delta_matrix, svd_norm
 
 D = AlgebraElement.delta
 
@@ -159,6 +164,60 @@ class TestReducedNorm:
                 assert abs(got - expected) <= 1e-9 * max(1.0, expected)
 
 
+def all_unit_norm(f, g, w):
+    return max(svd_norm(ind_delta(g, w, u, f).entries) for u in g.units)
+
+
+class TestOrbitShortcut:
+    def test_one_unit_per_orbit_on_disjoint_union(self):
+        g = disjoint_union(transitive_groupoid(2, 2), pair_groupoid(3))
+        w = source_weighted_haar(g, {u: float(i + 1) for i, u in enumerate(g.units)})
+        assert norm_units(g, w) == ("A:1", "B:1")
+        rng = Lcg(71)
+        for _ in range(5):
+            f = random_element("G", g.arrow_ids, rng)
+            want = all_unit_norm(f, g, w)
+            assert abs(reduced_norm(f, g, w) - want) <= 1e-12 * max(1.0, want)
+
+    def test_non_invariant_haar_solves_every_unit(self):
+        g = pair_groupoid(2)
+        w = HaarSystem({a.id: (2.0 if a.id == "(1,2)" else 1.0) for a in g.arrows})
+        assert norm_units(g, w) == g.units
+        f = random_element("G", g.arrow_ids, Lcg(0))
+        norms = [svd_norm(ind_delta(g, w, u, f).entries) for u in g.units]
+        # the representative alone would miss the largest per-unit norm
+        assert norms[0] < max(norms)
+        assert reduced_norm(f, g, w) == pytest.approx(max(norms), rel=1e-12)
+
+    def test_guard_reads_weights_changed_in_place(self):
+        g = pair_groupoid(2)
+        w = HaarSystem.counting(g)
+        f = random_element("G", g.arrow_ids, Lcg(0))
+        assert norm_units(g, w) == ("1",)
+        w.weights["(1,2)"] = 2.0
+        assert norm_units(g, w) == g.units
+        assert reduced_norm(f, g, w) == pytest.approx(all_unit_norm(f, g, w), rel=1e-12)
+
+    def test_unit_without_transport_is_its_own_representative(self):
+        g = pair_groupoid(2)
+        compose = dict(g.compose)
+        del compose[("(1,1)", "(1,2)")]
+        broken = FiniteGroupoid(g.units, g.arrows, compose, dict(g.inverse), dict(g.unit_arrow))
+        assert broken.orbit_transport == (("1", "2"), ())
+
+    def test_linking_groupoid_is_one_orbit(self):
+        Z = transitive_equivalence(3, 2)
+        wl = source_weighted_haar(Z.left_groupoid, {"1": 1.0, "2": 0.5, "3": 4.0})
+        wr = HaarSystem.counting(Z.right_groupoid)
+        link = build_linking(Z)
+        kappa = build_linking_haar(link, wl, wr)
+        L = link.groupoid
+        assert len(norm_units(L, kappa)) == 1
+        f = random_element("L", L.arrow_ids, Lcg(5))
+        want = all_unit_norm(f, L, kappa)
+        assert abs(reduced_norm(f, L, kappa) - want) <= 1e-12 * max(1.0, want)
+
+
 class TestIndMu:
     def test_point_mass_is_single_block(self, pair2):
         g, w = pair2
@@ -278,6 +337,34 @@ class TestKernelDimension:
         g = disjoint_union(pair_groupoid(2), cyclic_group(2))
         assert reduced_kernel_dimension(g, HaarSystem.counting(g)) == 0
 
+    def test_count_matches_gaussian_rank_of_stacked_matrix(self):
+        union = disjoint_union(transitive_groupoid(2, 2), cyclic_group(3))
+        pair = pair_groupoid(3)
+        Z = transitive_equivalence(2, 2)
+        link = build_linking(Z)
+        cases = [
+            (union, source_weighted_haar(union, {u: 2.0 ** i for i, u in enumerate(union.units)})),
+            (pair, HaarSystem({a.id: (3.0 if a.id == "(1,2)" else 1.0) for a in pair.arrows})),
+            (link.groupoid, build_linking_haar(
+                link, HaarSystem.counting(Z.left_groupoid), HaarSystem.counting(Z.right_groupoid)
+            )),
+        ]
+        for g, w in cases:
+            stacked = stacked_delta_matrix(g, w.weights)
+            assert reduced_kernel_dimension(g, w) == len(g.arrows) - gaussian_rank(stacked) == 0
+
+    def test_arrow_outside_every_fiber_spans_the_kernel(self):
+        g = pair_groupoid(2)
+        compose = dict(g.compose)
+        compose[("stray", "stray")] = "stray"
+        inverse = dict(g.inverse, stray="stray")
+        broken = FiniteGroupoid(
+            g.units, g.arrows + (Arrow("stray", "9", "9"),), compose, inverse, dict(g.unit_arrow)
+        )
+        w = HaarSystem.counting(broken)
+        stacked = stacked_delta_matrix(broken, w.weights)
+        assert reduced_kernel_dimension(broken, w) == 5 - gaussian_rank(stacked) == 1
+
 
 class TestINormBound:
     def test_matrix_unit(self, pair2):
@@ -301,18 +388,6 @@ class TestINormBound:
         f = random_element("G", g.arrow_ids, Lcg(31))
         spaces = [(Z.left_space, {Z.points[0]: 1.0})]
         assert check_i_norm_bound(g, w, f, spaces=spaces).ok
-
-
-class TestThreadCap:
-    def test_thread_cap_does_not_change_norms(self, monkeypatch):
-        g = pair_groupoid(3)
-        w = HaarSystem.counting(g)
-        f = random_element("G", g.arrow_ids, Lcg(55))
-        serial = reduced_norm(f, g, w)
-        monkeypatch.setenv("GROUPOIDAL_THREADS", "4")
-        assert reduced_norm(f, g, w) == serial
-        monkeypatch.setenv("GROUPOIDAL_THREADS", "0")
-        assert reduced_norm(f, g, w) == serial
 
 
 class TestGramPositivity:
