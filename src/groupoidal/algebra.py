@@ -20,6 +20,17 @@ system, not a rounding problem.  The mirrored module operations (acting
 on the opposite carrier) are these same four maps applied to
 ``opposite_space(Z)``; ``op_star`` transports functions between the two
 carriers.
+
+The kernels resolve no ids themselves.  They walk rows that the
+groupoid and the bispace build once, on first use, from their tables:
+``FiniteGroupoid.product_rows`` (``a -> ((b, ab), ...)``) for the
+product, ``Bispace.left_rows`` and ``right_rows`` for the actions, and
+``Bispace.rip_rows`` and ``lip_rows`` (the terms of each inner-product
+value, one row per base point) for the inner products.  Every sum runs
+over the same terms in the same order as the formulas above.  Haar
+weights are not part of the rows: they are read from the ``HaarSystem``
+on every call, so a weight changed in place shows in the next result.
+An id missing from a table raises ``UnknownIdError``.
 """
 
 from __future__ import annotations
@@ -101,6 +112,10 @@ def _expect(element: AlgebraElement, carrier: str, role: str) -> None:
 # --- the convolution algebra ----------------------------------------------
 
 
+def _missing(exc: KeyError, table: str) -> UnknownIdError:
+    return UnknownIdError(f"{exc.args[0]!r} is missing from the {table}")
+
+
 def convolve(
     f: AlgebraElement, g: AlgebraElement, groupoid: FiniteGroupoid, haar: HaarSystem
 ) -> AlgebraElement:
@@ -108,17 +123,22 @@ def convolve(
         raise CarrierMismatchError(
             f"cannot convolve carriers {f.carrier!r} and {g.carrier!r}"
         )
+    rows = groupoid.product_rows
+    weights = haar.weights
+    gv = g.values
     out: dict[str, complex] = {}
-    for a, fa in f.values.items():
-        if fa == 0:
-            continue
-        wa = haar.weight(a)
-        for b in groupoid._r_fibers[groupoid.s(a)]:
-            gb = g.values.get(b)
-            if not gb:
+    try:
+        for a, fa in f.values.items():
+            if fa == 0:
                 continue
-            c = groupoid.mul(a, b)
-            out[c] = out.get(c, 0.0) + fa * gb * wa
+            wa = weights[a]
+            for b, c in rows[a]:
+                gb = gv.get(b)
+                if not gb:
+                    continue
+                out[c] = out.get(c, 0.0) + fa * gb * wa
+    except KeyError as exc:
+        raise _missing(exc, "arrow or Haar tables") from None
     return AlgebraElement(f.carrier, out)
 
 
@@ -136,19 +156,22 @@ def left_action(
 ) -> AlgebraElement:
     _expect(f, Z.labels[0], "left factor")
     _expect(phi, Z.labels[2], "module element")
-    G = Z.left_groupoid
+    fv, pv = f.values, phi.values
+    weights = left_haar.weights
     out: dict[str, complex] = {}
-    for z in Z.points:
-        acc = 0.0 + 0.0j
-        for gamma in G._r_fibers[Z.r_of(z)]:
-            y = Z.left_act(G.inv(gamma), z)
-            v = phi.values.get(y)
-            if v:
-                fv = f.values.get(gamma)
-                if fv:
-                    acc += fv * v * left_haar.weight(gamma)
-        if acc != 0:
-            out[z] = acc
+    try:
+        for z, row in Z.left_rows.items():
+            acc = 0.0 + 0.0j
+            for gamma, y in row:
+                v = pv.get(y)
+                if v:
+                    fg = fv.get(gamma)
+                    if fg:
+                        acc += fg * v * weights[gamma]
+            if acc != 0:
+                out[z] = acc
+    except KeyError as exc:
+        raise _missing(exc, "left Haar system") from None
     return AlgebraElement(phi.carrier, out)
 
 
@@ -157,18 +180,22 @@ def right_action(
 ) -> AlgebraElement:
     _expect(phi, Z.labels[2], "module element")
     _expect(b, Z.labels[1], "right factor")
-    H = Z.right_groupoid
+    pv, bv = phi.values, b.values
+    weights = right_haar.weights
     out: dict[str, complex] = {}
-    for z in Z.points:
-        acc = 0.0 + 0.0j
-        for eta in H._r_fibers[Z.s_of(z)]:
-            v = phi.values.get(Z.right_act(z, eta))
-            if v:
-                bv = b.values.get(H.inv(eta))
-                if bv:
-                    acc += v * bv * right_haar.weight(eta)
-        if acc != 0:
-            out[z] = acc
+    try:
+        for z, row in Z.right_rows.items():
+            acc = 0.0 + 0.0j
+            for eta, z_eta, inv_eta in row:
+                v = pv.get(z_eta)
+                if v:
+                    be = bv.get(inv_eta)
+                    if be:
+                        acc += v * be * weights[eta]
+            if acc != 0:
+                out[z] = acc
+    except KeyError as exc:
+        raise _missing(exc, "right Haar system") from None
     return AlgebraElement(phi.carrier, out)
 
 
@@ -192,27 +219,27 @@ def rip(
     """Right inner product, valued in functions on the right groupoid."""
     _expect(phi, Z.labels[2], "first factor")
     _expect(psi, Z.labels[2], "second factor")
-    G, H = Z.left_groupoid, Z.right_groupoid
+    pv, qv = phi.values, psi.values
+    weights = left_haar.weights
     out: dict[str, complex] = {}
-    for eta in H.arrow_ids:
-        base_points = Z.s_fiber_points(H.r(eta))
-        if not base_points:
-            raise UnknownIdError(f"no point lies over right unit {H.r(eta)!r}")
-        samples = []
-        for z in base_points:
-            acc = 0.0 + 0.0j
-            for gamma in G._r_fibers[Z.r_of(z)]:
-                y = Z.left_act(G.inv(gamma), z)
-                a = phi.values.get(y)
-                if not a:
-                    continue
-                b = psi.values.get(Z.right_act(y, eta))
-                if b:
-                    acc += a.conjugate() * b * left_haar.weight(gamma)
-            samples.append(acc)
-        value = _assert_base_point_free(samples, f"right arrow {eta!r}")
-        if value != 0:
-            out[eta] = value
+    try:
+        for eta, base_rows in Z.rip_rows:
+            samples = []
+            for row in base_rows:
+                acc = 0.0 + 0.0j
+                for gamma, y, y_eta in row:
+                    a = pv.get(y)
+                    if not a:
+                        continue
+                    b = qv.get(y_eta)
+                    if b:
+                        acc += a.conjugate() * b * weights[gamma]
+                samples.append(acc)
+            value = _assert_base_point_free(samples, f"right arrow {eta!r}")
+            if value != 0:
+                out[eta] = value
+    except KeyError as exc:
+        raise _missing(exc, "left Haar system") from None
     return AlgebraElement(Z.labels[1], out)
 
 
@@ -222,25 +249,25 @@ def lip(
     """Left inner product, valued in functions on the left groupoid."""
     _expect(phi, Z.labels[2], "first factor")
     _expect(psi, Z.labels[2], "second factor")
-    G, H = Z.left_groupoid, Z.right_groupoid
+    pv, qv = phi.values, psi.values
+    weights = right_haar.weights
     out: dict[str, complex] = {}
-    for gamma in G.arrow_ids:
-        base_points = Z.r_fiber_points(G.s(gamma))
-        if not base_points:
-            raise UnknownIdError(f"no point lies over left unit {G.s(gamma)!r}")
-        samples = []
-        for w in base_points:
-            acc = 0.0 + 0.0j
-            for eta in H._r_fibers[Z.s_of(w)]:
-                we = Z.right_act(w, eta)
-                b = psi.values.get(we)
-                a = phi.values.get(Z.left_act(gamma, we))
-                if a and b:
-                    acc += a * b.conjugate() * right_haar.weight(eta)
-            samples.append(acc)
-        value = _assert_base_point_free(samples, f"left arrow {gamma!r}")
-        if value != 0:
-            out[gamma] = value
+    try:
+        for gamma, base_rows in Z.lip_rows:
+            samples = []
+            for row in base_rows:
+                acc = 0.0 + 0.0j
+                for eta, w_eta, gamma_w_eta in row:
+                    b = qv.get(w_eta)
+                    a = pv.get(gamma_w_eta)
+                    if a and b:
+                        acc += a * b.conjugate() * weights[eta]
+                samples.append(acc)
+            value = _assert_base_point_free(samples, f"left arrow {gamma!r}")
+            if value != 0:
+                out[gamma] = value
+    except KeyError as exc:
+        raise _missing(exc, "right Haar system") from None
     return AlgebraElement(Z.labels[0], out)
 
 

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .equivalence import validate_equivalence
-from .errors import GroupoidalError
+from .errors import GroupoidalError, StructureBrokenError, UnknownIdError
 from .fileio import (
     dump_equivalence,
     dump_groupoid,
@@ -22,7 +22,7 @@ from .fileio import (
     write_json,
 )
 from . import fixtures
-from .groupoid import validate_groupoid, validate_haar
+from .groupoid import validate_groupoid, validate_haar, validate_weights
 from .linking import build_linking, build_linking_haar
 from .representations import ind_delta, operator_norm, reduced_kernel_dimension, reduced_norm
 from .verify import (
@@ -168,6 +168,14 @@ def _cmd_build_linking(args) -> int:
 def _cmd_norm(args) -> int:
     groupoid, haar = load_groupoid(args.groupoid)
     element = load_element(args.element)
+    # one pass over the arrows and the element; the full axiom check is
+    # `validate`, which costs far more than a norm on large fixtures
+    report = validate_weights(groupoid, haar)
+    if not report.ok:
+        raise StructureBrokenError(report.summary())
+    unknown = sorted(key for key in element.values if not groupoid.has_arrow(key))
+    if unknown:
+        raise UnknownIdError(f"element has values on unknown arrow ids {unknown!r}")
     if args.unit is not None:
         value = operator_norm(ind_delta(groupoid, haar, args.unit, element))
         _emit({"unit": args.unit, "norm": value}, args.human)
@@ -258,6 +266,9 @@ def _cmd_gen_fixture(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     handlers = {
         "validate": _cmd_validate,
         "build-linking": _cmd_build_linking,
@@ -278,3 +289,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry_point() -> None:  # console script hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

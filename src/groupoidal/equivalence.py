@@ -20,6 +20,7 @@ operation aborts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import BracketNotFoundError, StructureBrokenError, UnknownIdError
@@ -81,6 +82,11 @@ class GSpace:
         return self._between.get((src, dst), ())
 
     def orbits(self) -> tuple[tuple[str, ...], ...]:
+        """The orbits, each sorted, in sorted order; found once and cached."""
+        return self._orbits
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[str, ...], ...]:
         parent = {z: z for z in self.points}
 
         def find(z: str) -> str:
@@ -98,12 +104,6 @@ class GSpace:
         for z in self.points:
             groups.setdefault(find(z), []).append(z)
         return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
-    def orbit_of(self, z: str) -> tuple[str, ...]:
-        for orbit in self.orbits():
-            if z in orbit:
-                return orbit
-        raise UnknownIdError(f"unknown point id {z!r}")
 
     def is_free(self) -> bool:
         for (z, out), arrows in self._between.items():
@@ -182,6 +182,68 @@ class Bispace:
 
     def s_fiber_points(self, v: str) -> tuple[str, ...]:
         return self._s_fibers.get(v, ())
+
+    # --- action rows, built on first use ---------------------------------
+    #
+    # Each row lists the terms of one sum of the bimodule kernels in
+    # ``algebra`` with every id already resolved.  They hold ids only, no
+    # Haar weights.  An entry missing from the tables raises
+    # ``UnknownIdError`` while a row is built; nothing is cached then.
+
+    @cached_property
+    def left_rows(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """``z -> ((gamma, inverse(gamma) z), ...)`` over the range fiber of ``r(z)``."""
+        G = self.left_groupoid
+        return {
+            z: tuple((g, self.left_act(G.inv(g), z)) for g in r_fiber(G, self.r_of(z)))
+            for z in self.points
+        }
+
+    @cached_property
+    def right_rows(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
+        """``z -> ((eta, z eta, inverse(eta)), ...)`` over the range fiber of ``s(z)``."""
+        H = self.right_groupoid
+        return {
+            z: tuple((e, self.right_act(z, e), H.inv(e)) for e in r_fiber(H, self.s_of(z)))
+            for z in self.points
+        }
+
+    @cached_property
+    def rip_rows(self) -> tuple[tuple[str, tuple[tuple[tuple[str, str, str], ...], ...]], ...]:
+        """Per right arrow ``eta``, one row per base point ``z`` over ``r(eta)``.
+
+        A row holds ``(gamma, y, y eta)`` with ``y = inverse(gamma) z``
+        for each ``gamma`` over ``r(z)``.
+        """
+        H = self.right_groupoid
+        rows = []
+        for eta in H.arrow_ids:
+            base_points = self.s_fiber_points(H.r(eta))
+            if not base_points:
+                raise UnknownIdError(f"no point lies over right unit {H.r(eta)!r}")
+            rows.append((eta, tuple(
+                tuple((g, y, self.right_act(y, eta)) for g, y in self.left_rows[z])
+                for z in base_points
+            )))
+        return tuple(rows)
+
+    @cached_property
+    def lip_rows(self) -> tuple[tuple[str, tuple[tuple[tuple[str, str, str], ...], ...]], ...]:
+        """Per left arrow ``gamma``, one row per base point ``w`` over ``s(gamma)``.
+
+        A row holds ``(eta, w eta, gamma w eta)`` for each ``eta`` over ``s(w)``.
+        """
+        G = self.left_groupoid
+        rows = []
+        for gamma in G.arrow_ids:
+            base_points = self.r_fiber_points(G.s(gamma))
+            if not base_points:
+                raise UnknownIdError(f"no point lies over left unit {G.s(gamma)!r}")
+            rows.append((gamma, tuple(
+                tuple((e, we, self.left_act(gamma, we)) for e, we, _ in self.right_rows[w])
+                for w in base_points
+            )))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)

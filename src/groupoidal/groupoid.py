@@ -35,6 +35,7 @@ __all__ = [
     "ValidationReport",
     "validate_groupoid",
     "validate_haar",
+    "validate_weights",
     "r_fiber",
     "s_fiber",
     "i_norm",
@@ -76,6 +77,7 @@ class FiniteGroupoid:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_r_fibers", {u: tuple(v) for u, v in r_fibers.items()})
         object.__setattr__(self, "_s_fibers", {u: tuple(v) for u, v in s_fibers.items()})
+        object.__setattr__(self, "_fiber_products", {})
 
     # --- table lookups -------------------------------------------------
 
@@ -128,6 +130,36 @@ class FiniteGroupoid:
     @property
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
+
+    @cached_property
+    def product_rows(self) -> dict[str, tuple[tuple[str, str], ...]]:
+        """``a -> ((b, ab), ...)`` over the range fiber of ``s(a)``, in canonical order.
+
+        Built on first use.  A composable pair missing from the tables
+        raises ``UnknownIdError``, and nothing is cached then, so every
+        later use raises too.
+        """
+        rows: dict[str, tuple[tuple[str, str], ...]] = {}
+        for aid, a in self._by_id.items():
+            rows[aid] = tuple((b, self.mul(aid, b)) for b in r_fiber(self, a.src))
+        return rows
+
+    def fiber_products(
+        self, u: str
+    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[str, ...], ...]]:
+        """The source fiber of ``u``, the inverses of its arrows, and ``gamma inverse(beta)``.
+
+        The products come as one row per ``gamma`` of the fiber, one entry
+        per ``beta``.  Each unit's table is built on its first use and
+        cached; units never asked for are never built.
+        """
+        table = self._fiber_products.get(u)
+        if table is None:
+            fiber = tuple(s_fiber(self, u))
+            inverses = tuple(self.inv(b) for b in fiber)
+            products = tuple(tuple(self.mul(g, ib) for ib in inverses) for g in fiber)
+            table = self._fiber_products[u] = (fiber, inverses, products)
+        return table
 
     @cached_property
     def orbit_transport(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
@@ -380,8 +412,12 @@ def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
     return rep
 
 
-def validate_haar(groupoid: FiniteGroupoid, haar: HaarSystem) -> ValidationReport:
-    """Check finite, full support and exact left invariance of a Haar system."""
+def validate_weights(groupoid: FiniteGroupoid, haar: HaarSystem) -> ValidationReport:
+    """Check that every arrow, and no unknown id, has a finite positive weight.
+
+    This is the part of ``validate_haar`` that takes one pass over the
+    arrows; it leaves out left invariance.
+    """
     rep = ValidationReport(subject="haar")
     for a in groupoid.arrows:
         w = haar.weights.get(a.id)
@@ -394,6 +430,12 @@ def validate_haar(groupoid: FiniteGroupoid, haar: HaarSystem) -> ValidationRepor
     for aid in haar.weights:
         if not groupoid.has_arrow(aid):
             rep.add("haar-domain", f"Haar weight listed for unknown arrow {aid!r}", aid)
+    return rep
+
+
+def validate_haar(groupoid: FiniteGroupoid, haar: HaarSystem) -> ValidationReport:
+    """Check finite, full support and exact left invariance of a Haar system."""
+    rep = validate_weights(groupoid, haar)
     if not rep.ok:
         return rep
     # left invariance, exact: w(eta) == w(gamma * eta) on every composable pair

@@ -77,14 +77,6 @@ class LinkingGroupoid:
     origin: dict[str, str]          # linking arrow id -> id in its home carrier
     lift: dict[tuple[str, str], str]  # (sector, home id) -> linking arrow id
 
-    def unit_of(self, side: str, u: str) -> str:
-        if side not in ("G", "H"):
-            raise UnknownIdError(f"unit side must be 'G' or 'H', got {side!r}")
-        lid = f"{side}:{u}"
-        if not self.groupoid.has_unit(lid):
-            raise UnknownIdError(f"no linking unit for {side!r} unit {u!r}")
-        return lid
-
     def arrow_of(self, sector: str, home_id: str) -> str:
         try:
             return self.lift[(sector, home_id)]

@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import AlgebraElement, rip
 from .equivalence import Bispace, GSpace
 from .errors import StructureBrokenError, UnknownIdError
-from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, i_norm, s_fiber
+from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, i_norm
 from .numerics import hermitian_eigenvalues, spectral_norm
 
 __all__ = [
@@ -64,21 +64,28 @@ class RepMatrix:
 def ind_delta(
     groupoid: FiniteGroupoid, haar: HaarSystem, u: str, f: AlgebraElement
 ) -> RepMatrix:
-    """Matrix of convolution by ``f`` on the weighted space over the source fiber of ``u``."""
-    fiber = s_fiber(groupoid, u)
-    k = len(fiber)
-    masses = np.array([haar.weight(groupoid.inv(g)) for g in fiber], dtype=float)
-    roots = np.sqrt(masses)
-    entries = np.zeros((k, k), dtype=np.complex128)
+    """Matrix of convolution by ``f`` on the weighted space over the source fiber of ``u``.
+
+    The products ``gamma inverse(beta)`` come from ``groupoid.fiber_products(u)``,
+    built on the first use of ``u``; the Haar weights are read on every call.
+    """
+    fiber, inverses, products = groupoid.fiber_products(u)
+    weights = haar.weights
     values = f.values
-    for j, beta in enumerate(fiber):
-        inv_beta = groupoid.inv(beta)
-        for i, gamma in enumerate(fiber):
-            a = groupoid.mul(gamma, inv_beta)
-            v = values.get(a)
-            if v:
-                entries[i, j] = v * haar.weight(a) * (roots[i] / roots[j])
-    return RepMatrix(tuple(fiber), entries, masses)
+    try:
+        masses = np.array([weights[ib] for ib in inverses], dtype=float)
+        roots = np.sqrt(masses).tolist()
+        rows = []
+        for root, row in zip(roots, products):
+            entries = []
+            for a, other in zip(row, roots):
+                v = values.get(a)
+                entries.append(v * weights[a] * (root / other) if v else 0j)
+            rows.append(entries)
+    except KeyError as exc:
+        raise UnknownIdError(f"no Haar weight for arrow {exc.args[0]!r}") from None
+    k = len(fiber)
+    return RepMatrix(fiber, np.array(rows, dtype=np.complex128).reshape(k, k), masses)
 
 
 def operator_norm(matrix: RepMatrix) -> float:
@@ -212,12 +219,10 @@ def reduced_kernel_dimension(groupoid: FiniteGroupoid, haar: HaarSystem) -> int:
     """
     hit: set[str] = set()
     for u in groupoid.units:
-        fiber = s_fiber(groupoid, u)
-        roots = np.sqrt([haar.weight(groupoid.inv(g)) for g in fiber])
-        for j, beta in enumerate(fiber):
-            inv_beta = groupoid.inv(beta)
-            for i, gamma in enumerate(fiber):
-                a = groupoid.mul(gamma, inv_beta)
+        _, inverses, products = groupoid.fiber_products(u)
+        roots = np.sqrt([haar.weight(ib) for ib in inverses])
+        for i, row in enumerate(products):
+            for j, a in enumerate(row):
                 if haar.weight(a) * (roots[i] / roots[j]) != 0:
                     hit.add(a)
     return len(groupoid.arrows) - len(hit)

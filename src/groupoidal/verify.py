@@ -131,6 +131,12 @@ class SuiteReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _require_samples(samples: int, name: str = "samples") -> None:
+    """A suite that draws no sample checks nothing, so it must not report a pass."""
+    if samples < 1:
+        raise ValueError(f"{name} must be at least 1, got {samples!r}")
+
+
 def _zero(link: LinkingGroupoid, which: int) -> AlgebraElement:
     labels = (
         link.bispace.labels[0],
@@ -158,6 +164,7 @@ def verify_theorem_main1(
     inner-product norms of a sampled module element must agree (the two
     candidate completions of the bimodule carry one norm).
     """
+    _require_samples(samples)
     report = SuiteReport("theorem-main1", seed, samples, tol)
     G, H = Z.left_groupoid, Z.right_groupoid
     link = link if link is not None else build_linking(Z)
@@ -221,6 +228,7 @@ def verify_imprimitivity(
     blocks may not dip below ``-gram_tol``.  The right inner product is
     injectable so fault-injection tests can flip its sign.
     """
+    _require_samples(samples)
     report = SuiteReport("imprimitivity", seed, samples, 1.0)
     report.notes.append(
         "residuals are relative to each law's own bound: "
@@ -319,6 +327,7 @@ def verify_full_projections(
         "H": len(H.arrows),
     }
     count = generators if generators is not None else max(dims.values()) + 4
+    _require_samples(count, "generators")
     report = SuiteReport("full-projections", seed, count, float(pivot_tol))
     rng = Lcg(seed)
     families: dict[str, list[AlgebraElement]] = {"G": [], "Z": [], "Zop": [], "H": []}
@@ -373,6 +382,7 @@ def verify_universal_norm_finite(
     both groupoids and the linking groupoid (both sides of the ideal
     correspondence vanish at finite scale).
     """
+    _require_samples(samples)
     report = SuiteReport("universal-norm-finite", seed, samples, tol)
     report.notes.append(AMENABILITY_NOTE)
     link = link if link is not None else build_linking(Z)
@@ -431,6 +441,7 @@ def verify_representation_laws(
     """
     from .groupoid import i_norm
 
+    _require_samples(samples)
     report = SuiteReport("representation-laws", seed, samples, tol)
     G = Z.left_groupoid
     X = Z.left_space
@@ -514,6 +525,7 @@ def verify_all(Z: Bispace | None, config: VerifyConfig | None = None) -> Aggrega
     missing bispace is a configuration error, reported as such.
     """
     config = config or VerifyConfig()
+    _require_samples(config.samples)
     if Z is None or not Z.points:
         return AggregateReport(
             status="error", seed=config.seed, error="empty bispace configuration"

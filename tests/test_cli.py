@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import groupoidal
 
 from groupoidal import HaarSystem
 from groupoidal.cli import main
@@ -103,6 +109,34 @@ class TestNormCommand:
         assert json.loads(out)["norm"] == pytest.approx(1.0)
 
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), 0.0, -1.0])
+    def test_unusable_weight_exits_two_before_any_matrix(self, capsys, tmp_path, bad):
+        g = cyclic_group(2)
+        haar = HaarSystem.counting(g)
+        haar.weights["g1"] = bad
+        write_json(tmp_path / "g.json", dump_groupoid(g, haar))
+        write_json(tmp_path / "f.json", dump_element(AlgebraElement.delta("G", "g1")))
+        code, out, err = run(
+            capsys, "norm", "--groupoid", str(tmp_path / "g.json"),
+            "--element", str(tmp_path / "f.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "g1" in err
+
+    def test_unknown_element_id_exits_two(self, capsys, tmp_path):
+        g = cyclic_group(2)
+        write_json(tmp_path / "g.json", dump_groupoid(g, HaarSystem.counting(g)))
+        write_json(tmp_path / "f.json", dump_element(AlgebraElement("G", {"g1": 1.0, "g7": 1.0})))
+        code, out, err = run(
+            capsys, "norm", "--groupoid", str(tmp_path / "g.json"),
+            "--element", str(tmp_path / "f.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "g7" in err
+
+
 class TestKernelDimCommand:
     def test_zero_kernel(self, capsys, tmp_path):
         g = cyclic_group(3)
@@ -162,3 +196,29 @@ class TestCheckCommand:
         assert code == 0
         assert "status: pass" in out
         assert "suite theorem-main1" in out
+
+    @pytest.mark.parametrize("suite,samples", [("main1", "0"), ("imprimitivity", "-3")])
+    def test_fewer_than_one_sample_exits_two(self, capsys, tmp_path, suite, samples):
+        path = write_equivalence(tmp_path, pair_trivialization(2))
+        code, out, err = run(
+            capsys, "check", "--equivalence", str(path), "--suite", suite,
+            "--samples", samples,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--samples must be at least 1" in err
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_command(self, tmp_path):
+        g = cyclic_group(2)
+        write_json(tmp_path / "g.json", dump_groupoid(g, HaarSystem.counting(g)))
+        src = str(Path(groupoidal.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "groupoidal.cli", "validate", "--groupoid", str(tmp_path / "g.json")],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert [r["ok"] for r in json.loads(done.stdout)["reports"]] == [True, True]
+

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from groupoidal import (
     Bispace,
     HaarSystem,
@@ -16,7 +18,7 @@ from groupoidal import (
     verify_universal_norm_finite,
 )
 from groupoidal.fixtures import pair_trivialization, transitive_equivalence
-from groupoidal.verify import AMENABILITY_NOTE
+from groupoidal.verify import AMENABILITY_NOTE, verify_representation_laws
 
 
 def haars(Z):
@@ -166,3 +168,24 @@ class TestSampler:
         element = random_element("G", [f"a{i}" for i in range(50)], rng)
         for v in element.values.values():
             assert -1.0 <= v.real <= 1.0 and -1.0 <= v.imag <= 1.0
+
+
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda Z, wl, wr, n: verify_theorem_main1(Z, wl, wr, samples=n),
+            lambda Z, wl, wr, n: verify_imprimitivity(Z, wl, wr, samples=n),
+            lambda Z, wl, wr, n: verify_full_projections(Z, wl, wr, generators=n),
+            lambda Z, wl, wr, n: verify_universal_norm_finite(Z, wl, wr, samples=n),
+            lambda Z, wl, wr, n: verify_representation_laws(Z, wl, wr, samples=n),
+            lambda Z, wl, wr, n: verify_all(Z, VerifyConfig(samples=n)),
+        ],
+        ids=["main1", "imprimitivity", "fullness", "universal", "rep-laws", "all"],
+    )
+    def test_fewer_than_one_sample_is_an_error(self, pair_trivial2, run, samples):
+        Z, wl, wr = pair_trivial2
+        with pytest.raises(ValueError, match="at least 1"):
+            run(Z, wl, wr, samples)
+
