@@ -91,9 +91,6 @@ class AlgebraElement:
     def __neg__(self) -> "AlgebraElement":
         return (-1.0) * self
 
-    def norm_inf(self) -> float:
-        return max((abs(v) for v in self.values.values()), default=0.0)
-
     def distance(self, other: "AlgebraElement") -> float:
         keys = set(self.values) | set(other.values)
         return max((abs(self.get(k) - other.get(k)) for k in keys), default=0.0)

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from .equivalence import validate_equivalence
 from .errors import GroupoidalError, StructureBrokenError, UnknownIdError
 from .fileio import (
     dump_equivalence,
@@ -25,19 +24,9 @@ from . import fixtures
 from .groupoid import validate_groupoid, validate_haar, validate_weights
 from .linking import build_linking, build_linking_haar
 from .representations import ind_delta, operator_norm, reduced_kernel_dimension, reduced_norm
-from .verify import (
-    DEFAULT_SEED,
-    VerifyConfig,
-    verify_all,
-    verify_full_projections,
-    verify_imprimitivity,
-    verify_theorem_main1,
-    verify_universal_norm_finite,
-)
+from .verify import DEFAULT_SEED, SUITES, VerifyConfig, input_stages, run_suite, verify_all
 
 __all__ = ["main", "entry_point"]
-
-SUITES = ("main1", "imprimitivity", "fullness", "universal")
 
 
 def _emit(payload: dict, human: bool) -> None:
@@ -109,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run theorem suites on an equivalence")
     p.add_argument("--equivalence", required=True)
     p.add_argument("--all", action="store_true", help="run every suite")
-    p.add_argument("--suite", choices=SUITES, help="run a single suite")
+    p.add_argument("--suite", choices=tuple(SUITES), help="run a single suite")
     _add_common(p)
 
     p = sub.add_parser("gen-fixture", help="emit a fixture from a parameterized family")
@@ -141,11 +130,7 @@ def _cmd_validate(args) -> int:
         reports.append(validate_haar(groupoid, haar))
     if args.equivalence:
         Z, w_left, w_right = load_equivalence(args.equivalence)
-        reports.append(validate_groupoid(Z.left_groupoid))
-        reports.append(validate_haar(Z.left_groupoid, w_left))
-        reports.append(validate_groupoid(Z.right_groupoid))
-        reports.append(validate_haar(Z.right_groupoid, w_right))
-        reports.append(validate_equivalence(Z))
+        reports.extend(check() for _, check in input_stages(Z, w_left, w_right))
     if not reports:
         print("validate: pass --groupoid and/or --equivalence", file=sys.stderr)
         return 2
@@ -201,19 +186,7 @@ def _cmd_check(args) -> int:
         if aggregate.status == "error":
             return 2
         return 0 if aggregate.status == "pass" else 1
-    runners = {
-        "main1": lambda: verify_theorem_main1(
-            Z, w_left, w_right, args.samples, args.tol, args.seed
-        ),
-        "imprimitivity": lambda: verify_imprimitivity(
-            Z, w_left, w_right, samples=args.samples, seed=args.seed
-        ),
-        "fullness": lambda: verify_full_projections(Z, w_left, w_right, seed=args.seed),
-        "universal": lambda: verify_universal_norm_finite(
-            Z, w_left, w_right, args.samples, args.tol, args.seed
-        ),
-    }
-    report = runners[args.suite]()
+    report = run_suite(args.suite, Z, w_left, w_right, args.samples, args.tol, args.seed)
     _emit(report.to_dict(), args.human)
     return 0 if report.status == "pass" else 1
 

@@ -475,8 +475,8 @@ def opposite_space(Z: Bispace) -> Bispace:
     """
     G, H = Z.left_groupoid, Z.right_groupoid
     points = tuple(opposite_point(z) for z in Z.points)
-    r_map = {opposite_point(z): Z.s_map[z] for z in Z.points}
-    s_map = {opposite_point(z): Z.r_map[z] for z in Z.points}
+    r_map = {opposite_point(z): Z.s_of(z) for z in Z.points}
+    s_map = {opposite_point(z): Z.r_of(z) for z in Z.points}
     left_action: dict[tuple[str, str], str] = {}
     for (z, eta), out in Z.right_action.items():
         left_action[(H.inv(eta), opposite_point(z))] = opposite_point(out)

@@ -65,7 +65,6 @@ class FiniteGroupoid:
         by_id: dict[str, Arrow] = {}
         for a in self.arrows:
             by_id.setdefault(a.id, a)
-        index = {a.id: i for i, a in enumerate(self.arrows)}
         r_fibers: dict[str, list[str]] = {u: [] for u in self.units}
         s_fibers: dict[str, list[str]] = {u: [] for u in self.units}
         for a in self.arrows:
@@ -74,7 +73,6 @@ class FiniteGroupoid:
             if a.src in s_fibers:
                 s_fibers[a.src].append(a.id)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_r_fibers", {u: tuple(v) for u, v in r_fibers.items()})
         object.__setattr__(self, "_s_fibers", {u: tuple(v) for u, v in s_fibers.items()})
         object.__setattr__(self, "_fiber_products", {})
@@ -120,12 +118,6 @@ class FiniteGroupoid:
 
     def composable(self, a: str, b: str) -> bool:
         return self.s(a) == self.r(b)
-
-    def arrow_index(self, arrow_id: str) -> int:
-        try:
-            return self._index[arrow_id]
-        except KeyError:
-            raise UnknownIdError(f"unknown arrow id {arrow_id!r}") from None
 
     @property
     def arrow_ids(self) -> tuple[str, ...]:
@@ -201,6 +193,9 @@ class HaarSystem:
     """Strictly positive mass per arrow, left invariant along range fibers."""
 
     weights: dict[str, float]
+    # the validation report of the function that made and checked this
+    # system (``build_linking_haar`` does); None for systems nobody checked
+    self_check: ValidationReport | None = None
 
     @classmethod
     def counting(cls, groupoid: FiniteGroupoid) -> "HaarSystem":

@@ -35,7 +35,14 @@ from .equivalence import (
     opposite_space,
     sigma_measure,
 )
-from .groupoid import Arrow, FiniteGroupoid, HaarSystem, validate_groupoid, validate_haar
+from .groupoid import (
+    Arrow,
+    FiniteGroupoid,
+    HaarSystem,
+    ValidationReport,
+    validate_groupoid,
+    validate_haar,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algebra import AlgebraElement
@@ -76,6 +83,7 @@ class LinkingGroupoid:
     sector: dict[str, str]          # linking arrow id -> sector tag
     origin: dict[str, str]          # linking arrow id -> id in its home carrier
     lift: dict[tuple[str, str], str]  # (sector, home id) -> linking arrow id
+    self_check: ValidationReport    # the axiom check ``build_linking`` ran on ``groupoid``
 
     def arrow_of(self, sector: str, home_id: str) -> str:
         try:
@@ -169,6 +177,7 @@ def build_linking(Z: Bispace) -> LinkingGroupoid:
         sector=sector,
         origin=origin,
         lift=lift,
+        self_check=report,
     )
 
 
@@ -179,7 +188,8 @@ def build_linking_haar(link: LinkingGroupoid, w_left: HaarSystem, w_right: HaarS
     groupoid sector plus the right-orbit measure on the point sector;
     over a right unit it carries the mirrored-orbit measure plus the
     right Haar masses.  The assembled table is checked by
-    ``validate_haar`` (exact, no tolerance) before being returned.
+    ``validate_haar`` (exact, no tolerance) before being returned, with
+    that report as its ``self_check``.
     """
     Z = link.bispace
     weights: dict[str, float] = {}
@@ -201,7 +211,7 @@ def build_linking_haar(link: LinkingGroupoid, w_left: HaarSystem, w_right: HaarS
         raise StructureBrokenError(
             "assembled linking Haar system is not left invariant:\n" + report.summary()
         )
-    return haar
+    return HaarSystem(weights, self_check=report)
 
 
 # --- block structure ------------------------------------------------------

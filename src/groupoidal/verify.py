@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import (
     AlgebraElement,
@@ -27,8 +27,8 @@ from .algebra import (
     rip,
 )
 from .equivalence import Bispace, validate_equivalence
-from .errors import GroupoidalError
-from .groupoid import HaarSystem, validate_groupoid, validate_haar
+from .errors import GroupoidalError, StructureBrokenError
+from .groupoid import HaarSystem, ValidationReport, validate_groupoid, validate_haar
 from .linking import LinkingGroupoid, block_compose, build_linking, build_linking_haar
 from .numerics import complex_rank
 from .representations import (
@@ -48,6 +48,10 @@ __all__ = [
     "SuiteReport",
     "AggregateReport",
     "VerifyConfig",
+    "SUITES",
+    "input_stages",
+    "structural_gate",
+    "run_suite",
     "verify_theorem_main1",
     "verify_imprimitivity",
     "verify_full_projections",
@@ -377,10 +381,11 @@ def verify_universal_norm_finite(
 ) -> SuiteReport:
     """The finite shadow of the universal-norm statements.
 
-    Asserts the corner norm equality, the block against direct product
-    identity on sampled pairs, and that every per-unit kernel is zero on
-    both groupoids and the linking groupoid (both sides of the ideal
-    correspondence vanish at finite scale).
+    Asserts the block against direct product identity on sampled pairs
+    (held to 1e-12, whatever ``tol`` the report states) and that every
+    per-unit kernel is zero on both groupoids and the linking groupoid
+    (both sides of the ideal correspondence vanish at finite scale).
+    The corner norm equality is ``verify_theorem_main1``'s alone.
     """
     _require_samples(samples)
     report = SuiteReport("universal-norm-finite", seed, samples, tol)
@@ -393,23 +398,15 @@ def verify_universal_norm_finite(
     )
     L = link.groupoid
 
-    norm_part = verify_theorem_main1(
-        Z, w_left, w_right, samples=samples, tol=tol, seed=seed, link=link, linking_haar=kappa
-    )
-    report.max_residual = norm_part.max_residual
-    if norm_part.status != "pass":
-        report.status = "fail"
-        report.witness = norm_part.witness
-
     rng = Lcg(seed)
     block_tol = 1e-12
     for index in range(samples):
         F = random_element("L", L.arrow_ids, rng)
         K = random_element("L", L.arrow_ids, rng)
         _, residual, worst = blockwise_residual(F, K, link, w_left, w_right, kappa)
+        report.max_residual = max(report.max_residual, residual)
         if residual > block_tol:
             report.status = "fail"
-            report.max_residual = max(report.max_residual, residual)
             report.witness = {"sample": index, "law": "block-identity", "arrow": worst}
 
     kernels = {
@@ -482,6 +479,86 @@ def verify_representation_laws(
     return report
 
 
+# --- the structural gate and the suite registry -----------------------------
+
+
+def input_stages(
+    Z: Bispace, w_left: HaarSystem, w_right: HaarSystem
+) -> tuple[tuple[str, Callable[[], ValidationReport]], ...]:
+    """The gate's input checks in order, each run only when it is called."""
+    return (
+        ("left-groupoid", lambda: validate_groupoid(Z.left_groupoid)),
+        ("left-haar", lambda: validate_haar(Z.left_groupoid, w_left)),
+        ("right-groupoid", lambda: validate_groupoid(Z.right_groupoid)),
+        ("right-haar", lambda: validate_haar(Z.right_groupoid, w_right)),
+        ("equivalence", lambda: validate_equivalence(Z)),
+    )
+
+
+def structural_gate(
+    Z: Bispace, w_left: HaarSystem, w_right: HaarSystem, structural: list[dict]
+) -> tuple[LinkingGroupoid, HaarSystem]:
+    """Run the input stages, then build the linking groupoid and its Haar system.
+
+    Appends one entry per stage that ran to ``structural``; the linking
+    entries are the self-checks ``build_linking`` and ``build_linking_haar``
+    ran.  Raises ``StructureBrokenError`` at the first failing stage.
+    """
+    for stage, check in input_stages(Z, w_left, w_right):
+        report = check()
+        structural.append({**report.to_dict(), "stage": stage})
+        if not report.ok:
+            raise StructureBrokenError(
+                f"structural stage {stage!r} failed; numeric suites skipped\n{report.summary()}"
+            )
+    try:
+        link = build_linking(Z)
+        kappa = build_linking_haar(link, w_left, w_right)
+    except GroupoidalError as exc:
+        raise StructureBrokenError(f"linking construction failed: {exc}") from exc
+    for stage, report in (("linking-groupoid", link.self_check), ("linking-haar", kappa.self_check)):
+        structural.append({**report.to_dict(), "stage": stage})
+    return link, kappa
+
+
+class Suite(NamedTuple):
+    """A registered suite: its runner, and the samples ``verify_all`` gives it."""
+
+    # takes verify_theorem_main1's arguments: (Z, w_left, w_right, samples,
+    # tol, seed, link, linking_haar)
+    run: Callable[..., SuiteReport]
+    budget: Callable[[int], int]
+
+
+# CLI name -> suite, in report order.  The runners look the ``verify_*``
+# functions up when called, so a patched module attribute reaches them.
+SUITES: dict[str, Suite] = {
+    "main1": Suite(lambda *args: verify_theorem_main1(*args), lambda n: n),
+    "imprimitivity": Suite(
+        lambda Z, wl, wr, n, tol, seed, *linking: verify_imprimitivity(Z, wl, wr, n, seed=seed),
+        lambda n: max(10, n // 4),
+    ),
+    "fullness": Suite(  # sizes its own generator sweep from the carriers
+        lambda Z, wl, wr, n, tol, seed, *linking: verify_full_projections(Z, wl, wr, seed=seed),
+        lambda n: n,
+    ),
+    "universal": Suite(lambda *args: verify_universal_norm_finite(*args), lambda n: max(10, n // 4)),
+    "representation": Suite(
+        lambda Z, wl, wr, n, tol, seed, *linking: verify_representation_laws(Z, wl, wr, n, seed=seed),
+        lambda n: max(5, n // 10),
+    ),
+}
+
+
+def run_suite(
+    name: str, Z: Bispace, w_left: HaarSystem, w_right: HaarSystem, samples: int, tol: float, seed: int
+) -> SuiteReport:
+    """One registered suite behind the whole gate, which raises on broken input."""
+    _require_samples(samples)
+    link, kappa = structural_gate(Z, w_left, w_right, [])
+    return SUITES[name].run(Z, w_left, w_right, samples, tol, seed, link, kappa)
+
+
 # --- aggregation ------------------------------------------------------------
 
 
@@ -490,7 +567,6 @@ class VerifyConfig:
     samples: int = 100
     tol: float = 1e-9
     seed: int = DEFAULT_SEED
-    generators: int | None = None
     w_left: HaarSystem | None = None
     w_right: HaarSystem | None = None
 
@@ -519,9 +595,9 @@ class AggregateReport:
 
 
 def verify_all(Z: Bispace | None, config: VerifyConfig | None = None) -> AggregateReport:
-    """Run the structural validators, then every theorem suite, and aggregate.
+    """Walk the structural gate, then run every registered suite, and aggregate.
 
-    Structural failures short-circuit the numeric suites.  An empty or
+    A failing stage short-circuits the numeric suites.  An empty or
     missing bispace is a configuration error, reported as such.
     """
     config = config or VerifyConfig()
@@ -532,75 +608,17 @@ def verify_all(Z: Bispace | None, config: VerifyConfig | None = None) -> Aggrega
         )
     w_left = config.w_left or HaarSystem.counting(Z.left_groupoid)
     w_right = config.w_right or HaarSystem.counting(Z.right_groupoid)
-
     aggregate = AggregateReport(status="pass", seed=config.seed)
-    structural = [
-        ("left-groupoid", validate_groupoid(Z.left_groupoid)),
-        ("left-haar", validate_haar(Z.left_groupoid, w_left)),
-        ("right-groupoid", validate_groupoid(Z.right_groupoid)),
-        ("right-haar", validate_haar(Z.right_groupoid, w_right)),
-        ("equivalence", validate_equivalence(Z)),
-    ]
-    for name, rep in structural:
-        entry = rep.to_dict()
-        entry["stage"] = name
-        aggregate.structural.append(entry)
-        if not rep.ok:
-            aggregate.status = "fail"
-            aggregate.error = f"structural stage {name!r} failed; numeric suites skipped"
-            return aggregate
-
     try:
-        link = build_linking(Z)
-        kappa = build_linking_haar(link, w_left, w_right)
-    except GroupoidalError as exc:
+        link, kappa = structural_gate(Z, w_left, w_right, aggregate.structural)
+    except StructureBrokenError as exc:
         aggregate.status = "fail"
-        aggregate.error = f"linking construction failed: {exc}"
+        aggregate.error = str(exc)
         return aggregate
-    for name, rep in (
-        ("linking-groupoid", validate_groupoid(link.groupoid)),
-        ("linking-haar", validate_haar(link.groupoid, kappa)),
-    ):
-        entry = rep.to_dict()
-        entry["stage"] = name
-        aggregate.structural.append(entry)
-        if not rep.ok:
-            aggregate.status = "fail"
-            aggregate.error = f"structural stage {name!r} failed; numeric suites skipped"
-            return aggregate
-
-    aggregate.suites.append(
-        verify_theorem_main1(
-            Z, w_left, w_right, config.samples, config.tol, config.seed, link, kappa
-        )
-    )
-    aggregate.suites.append(
-        verify_imprimitivity(
-            Z, w_left, w_right, samples=max(10, config.samples // 4), seed=config.seed
-        )
-    )
-    aggregate.suites.append(
-        verify_full_projections(
-            Z, w_left, w_right, generators=config.generators, seed=config.seed
-        )
-    )
-    aggregate.suites.append(
-        verify_universal_norm_finite(
-            Z,
-            w_left,
-            w_right,
-            samples=max(10, config.samples // 4),
-            tol=config.tol,
-            seed=config.seed,
-            link=link,
-            linking_haar=kappa,
-        )
-    )
-    aggregate.suites.append(
-        verify_representation_laws(
-            Z, w_left, w_right, samples=max(5, config.samples // 10), seed=config.seed
-        )
-    )
+    aggregate.suites = [
+        suite.run(Z, w_left, w_right, suite.budget(config.samples), config.tol, config.seed, link, kappa)
+        for suite in SUITES.values()
+    ]
     if any(s.status != "pass" for s in aggregate.suites):
         aggregate.status = "fail"
     return aggregate

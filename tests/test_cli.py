@@ -9,9 +9,10 @@ import pytest
 import groupoidal
 
 from groupoidal import HaarSystem
-from groupoidal.cli import main
+from groupoidal.cli import build_parser, main
 from groupoidal.fileio import dump_element, dump_equivalence, dump_groupoid, write_json
-from groupoidal.fixtures import cyclic_group, pair_trivialization
+from groupoidal.fixtures import cyclic_group, pair_trivialization, transitive_equivalence
+from groupoidal.verify import SUITES
 from groupoidal import AlgebraElement
 
 
@@ -207,6 +208,57 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert "--samples must be at least 1" in err
+
+
+def suite_choices():
+    check = build_parser()._subparsers._group_actions[0].choices["check"]
+    return next(a.choices for a in check._actions if a.dest == "suite")
+
+
+class TestSuiteRegistry:
+    def test_choices_registry_and_report_agree(self, capsys, tmp_path):
+        assert tuple(suite_choices()) == tuple(SUITES)
+        path = write_equivalence(tmp_path, pair_trivialization(2))
+        common = ("--equivalence", str(path), "--samples", "4")
+        _, out, _ = run(capsys, "check", "--all", *common)
+        reported = [s["suite"] for s in json.loads(out)["suites"]]
+        single = []
+        for name in SUITES:
+            code, out, _ = run(capsys, "check", "--suite", name, *common)
+            assert code == 0
+            single.append(json.loads(out)["suite"])
+        assert single == reported
+
+
+# transitive-equiv(2,2) with one table row dropped
+BREAKAGES = {
+    "r-row": lambda tables: tables["r"].pop(0),
+    "left-action-row": lambda tables: tables["left_action"].pop(0),
+    "G-compose-row": lambda tables: tables["G"]["compose"].pop(0),
+}
+
+
+class TestBrokenFixtures:
+    @pytest.mark.parametrize("breakage", sorted(BREAKAGES))
+    @pytest.mark.parametrize(
+        "command", [("check", "--suite", name) for name in SUITES] + [("build-linking",)],
+        ids=lambda command: command[-1],
+    )
+    def test_ends_with_a_named_error(self, capsys, tmp_path, command, breakage):
+        Z = transitive_equivalence(2, 2)
+        tables = dump_equivalence(
+            Z, HaarSystem.counting(Z.left_groupoid), HaarSystem.counting(Z.right_groupoid)
+        )
+        BREAKAGES[breakage](tables)
+        path = tmp_path / "broken.json"
+        write_json(path, tables)
+        code, _, err = run(capsys, *command, "--equivalence", str(path), "--samples", "3")
+        assert code in (1, 2)
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        if command[0] == "check":
+            assert code == 2
+            assert "structural stage" in err
 
 
 class TestModuleEntry:

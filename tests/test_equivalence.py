@@ -5,6 +5,7 @@ from groupoidal import (
     BracketNotFoundError,
     HaarSystem,
     StructureBrokenError,
+    UnknownIdError,
     g_bracket,
     h_bracket,
     opposite_space,
@@ -128,6 +129,18 @@ class TestOppositeSpace:
             assert back.left_action[(gamma, "~~" + z)] == "~~" + out
         for (z, eta), out in Z.right_action.items():
             assert back.right_action[("~~" + z, eta)] == "~~" + out
+
+    @pytest.mark.parametrize("anchor", ["r_map", "s_map"])
+    def test_missing_anchor_is_a_named_error(self, pair_trivial2, anchor):
+        Z = pair_trivial2[0]
+        maps = {"r_map": dict(Z.r_map), "s_map": dict(Z.s_map)}
+        del maps[anchor]["z1"]
+        broken = Bispace(
+            Z.left_groupoid, Z.right_groupoid, Z.points, maps["r_map"], maps["s_map"],
+            dict(Z.left_action), dict(Z.right_action),
+        )
+        with pytest.raises(UnknownIdError, match="z1"):
+            opposite_space(broken)
 
     def test_opposite_action_formulas(self, self2):
         Z = self2[0]

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -18,6 +19,7 @@ from groupoidal import (
     verify_universal_norm_finite,
 )
 from groupoidal.fixtures import pair_trivialization, transitive_equivalence
+from groupoidal import groupoid, verify
 from groupoidal.verify import AMENABILITY_NOTE, verify_representation_laws
 
 
@@ -110,6 +112,12 @@ class TestUniversalNormFinite:
         kernel_note = next(n for n in report.notes if "kernel_dimensions" in n)
         assert "'G': 0" in kernel_note and "'H': 0" in kernel_note and "'L': 0" in kernel_note
 
+    def test_passing_report_keeps_its_worst_block_residual(self, pair_trivial2):
+        Z, wl, wr = pair_trivial2
+        report = verify_universal_norm_finite(Z, wl, wr, samples=10)
+        assert report.status == "pass"
+        assert 0.0 < report.max_residual <= 1e-12
+
     def test_states_the_amenability_caveat(self, self2):
         Z, wl, wr = self2
         report = verify_universal_norm_finite(Z, wl, wr, samples=5)
@@ -149,6 +157,37 @@ class TestVerifyAll:
         assert aggregate.status == "fail"
         assert aggregate.suites == []
         assert "structural" in aggregate.error
+
+    def test_each_check_runs_once(self, pair_trivial2, monkeypatch):
+        # count calls through every module attribute bound to the function,
+        # since the suites and the linking constructions import them by name
+        calls = {}
+        for fn in (verify.verify_theorem_main1, groupoid.validate_groupoid, groupoid.validate_haar):
+            calls[fn.__name__] = 0
+
+            def counted(*args, _fn=fn, **kwargs):
+                calls[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("groupoidal"):
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, counted)
+        Z, wl, wr = pair_trivial2
+        aggregate = verify_all(Z, VerifyConfig(samples=8, w_left=wl, w_right=wr))
+        assert aggregate.status == "pass"
+        # left, right, and the self-checks inside the linking constructions
+        assert calls == {"verify_theorem_main1": 1, "validate_groupoid": 3, "validate_haar": 3}
+        assert [entry["stage"] for entry in aggregate.structural] == [
+            "left-groupoid",
+            "left-haar",
+            "right-groupoid",
+            "right-haar",
+            "equivalence",
+            "linking-groupoid",
+            "linking-haar",
+        ]
 
     def test_report_is_byte_stable(self):
         Z = transitive_equivalence(2, 2)
