@@ -150,14 +150,21 @@ def _cmd_build_linking(args) -> int:
     return 0
 
 
+def _load_checked_groupoid(path: str):
+    """Load a groupoid and refuse it unless its axioms hold and its weights are usable.
+
+    Left invariance is left to ``reduced_norm``'s own exact guard.
+    """
+    groupoid, haar = load_groupoid(path)
+    for report in (validate_groupoid(groupoid), validate_weights(groupoid, haar)):
+        if not report.ok:
+            raise StructureBrokenError(report.summary())
+    return groupoid, haar
+
+
 def _cmd_norm(args) -> int:
-    groupoid, haar = load_groupoid(args.groupoid)
+    groupoid, haar = _load_checked_groupoid(args.groupoid)
     element = load_element(args.element)
-    # one pass over the arrows and the element; the full axiom check is
-    # `validate`, which costs far more than a norm on large fixtures
-    report = validate_weights(groupoid, haar)
-    if not report.ok:
-        raise StructureBrokenError(report.summary())
     unknown = sorted(key for key in element.values if not groupoid.has_arrow(key))
     if unknown:
         raise UnknownIdError(f"element has values on unknown arrow ids {unknown!r}")
@@ -170,7 +177,7 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_kernel_dim(args) -> int:
-    groupoid, haar = load_groupoid(args.groupoid)
+    groupoid, haar = _load_checked_groupoid(args.groupoid)
     _emit({"kernel_dimension": reduced_kernel_dimension(groupoid, haar)}, args.human)
     return 0
 

@@ -157,13 +157,18 @@ class Bispace:
         try:
             return self.r_map[z]
         except KeyError:
-            raise UnknownIdError(f"unknown point id {z!r}") from None
+            raise self._no_anchor(z, "r") from None
 
     def s_of(self, z: str) -> str:
         try:
             return self.s_map[z]
         except KeyError:
-            raise UnknownIdError(f"unknown point id {z!r}") from None
+            raise self._no_anchor(z, "s") from None
+
+    def _no_anchor(self, z: str, anchor: str) -> UnknownIdError:
+        if z in self.points:
+            return UnknownIdError(f"point {z!r} has no {anchor} anchor")
+        return UnknownIdError(f"unknown point id {z!r}")
 
     def left_act(self, gamma: str, z: str) -> str:
         try:
@@ -330,34 +335,39 @@ def _validate_action_side(rep: ValidationReport, Z: Bispace, side: str) -> None:
             if got != z:
                 rep.add("unit-acts-trivially", f"unit arrow of {u!r} moves point {z!r}", z)
 
-    # compatibility with composition
+    # compatibility with composition, visiting only the points each arrow acts on
+    acted_on = _points_by_arrow(Z.points, table if side == "left" else ((x, z) for z, x in table))
     for (a, b), ab in grpd.compose.items():
         if not grpd.has_arrow(a) or not grpd.has_arrow(b) or not grpd.has_arrow(ab):
             continue
         if side == "left":
-            for z in Z.points:
+            for z in acted_on.get(b, ()):
                 inner = table.get((b, z))
                 if inner is None:
                     continue
                 if table.get((a, inner)) != table.get((ab, z)):
                     rep.add("action-compatibility", f"({a!r}{b!r})*{z!r} != {a!r}*({b!r}*{z!r})", a, b, z)
         else:
-            for z in Z.points:
+            for z in acted_on.get(a, ()):
                 inner = table.get((z, a))
                 if inner is None:
                     continue
                 if table.get((inner, b)) != table.get((z, ab)):
                     rep.add("action-compatibility", f"{z!r}*({a!r}{b!r}) != ({z!r}*{a!r})*{b!r}", z, a, b)
 
-    # freeness
+    # freeness: the table entries fixing each point, in table order
+    fixing: dict[str, list[str]] = {}
+    for key, out in table.items():
+        gamma, zz = key if side == "left" else (key[1], key[0])
+        if zz == out:
+            fixing.setdefault(zz, []).append(gamma)
     for z in Z.points:
         u = anchor.get(z)
         if u is None:
             continue
         uid = grpd.unit_arrow.get(u)
-        for key, out in table.items():
-            gamma, zz = key if side == "left" else (key[1], key[0])
-            if zz == z and out == z and gamma != uid:
+        for gamma in fixing.get(z, ()):
+            if gamma != uid:
                 rep.add("freeness", f"non-identity arrow {gamma!r} fixes point {z!r}", gamma, z)
 
     # anchor surjectivity (discrete stand-in for openness of the anchor map)
@@ -365,6 +375,18 @@ def _validate_action_side(rep: ValidationReport, Z: Bispace, side: str) -> None:
     for u in grpd.units:
         if u not in hit:
             rep.add("anchor-surjective", f"no point lies over {side} unit {u!r}", u)
+
+
+def _points_by_arrow(points: tuple[str, ...], keys) -> dict[str, list[str]]:
+    """``arrow -> the points z with (arrow, z) in keys``, in the order of ``points``, repeats kept."""
+    arrows_at: dict[str, list[str]] = {}
+    for x, z in keys:
+        arrows_at.setdefault(z, []).append(x)
+    acted_on: dict[str, list[str]] = {}
+    for z in points:
+        for x in arrows_at.get(z, ()):
+            acted_on.setdefault(x, []).append(z)
+    return acted_on
 
 
 def _right_orbits(Z: Bispace) -> tuple[tuple[str, ...], ...]:
@@ -384,11 +406,12 @@ def validate_equivalence(Z: Bispace) -> ValidationReport:
     _validate_action_side(rep, Z, "left")
     _validate_action_side(rep, Z, "right")
 
-    # the two actions commute
+    # the two actions commute; right rows are grouped by point, in table order
+    right_rows: dict[str, list[tuple[str, str]]] = {}
+    for (z, eta), ze in Z.right_action.items():
+        right_rows.setdefault(z, []).append((eta, ze))
     for (gamma, z), gz in Z.left_action.items():
-        for (z2, eta), ze in Z.right_action.items():
-            if z2 != z:
-                continue
+        for eta, ze in right_rows.get(z, ()):
             left_then_right = Z.right_action.get((gz, eta))
             right_then_left = Z.left_action.get((gamma, ze))
             if left_then_right != right_then_left or left_then_right is None:

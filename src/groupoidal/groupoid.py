@@ -20,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Mapping
+
+import numpy as np
 
 from .errors import UnknownIdError
 
@@ -268,7 +271,10 @@ def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
 
     Malformed table references (unknown arrow or unit ids) are reported
     with their own rules rather than raised, so a single run surfaces
-    every defect in a fixture.
+    every defect in a fixture.  Composable pairs and associativity are
+    first screened with numpy gathers (``_product_screen``); their loops
+    below then run only for the arrows the screen flags, so the report is
+    the one a scan of every pair and triple gives.
     """
     rep = ValidationReport(subject="groupoid")
     seen_units: set[str] = set()
@@ -359,7 +365,8 @@ def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
                 b,
                 c,
             )
-    for a in groupoid.arrows:
+    missing_pairs, failing_triples = _product_screen(groupoid)
+    for a in missing_pairs:
         for b in groupoid._r_fibers.get(a.src, ()):
             if (a.id, b) not in groupoid.compose:
                 rep.add(
@@ -388,8 +395,8 @@ def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
         if us is not None and mul(ia, a.id) != us:
             rep.add("inverse-law", f"{ia!r} * {a.id!r} != unit({a.src!r})", ia, a.id)
 
-    # associativity on every composable triple
-    for a in groupoid.arrows:
+    # associativity on every composable triple of the arrows the screen flagged
+    for a in failing_triples:
         for b in groupoid._r_fibers.get(a.src, ()):
             ab = mul(a.id, b)
             for c in groupoid._r_fibers.get(known[b].src, ()):
@@ -405,6 +412,58 @@ def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
                         c,
                     )
     return rep
+
+
+def _product_screen(groupoid: FiniteGroupoid) -> tuple[tuple[Arrow, ...], tuple[Arrow, ...]]:
+    """The arrows ``a`` that may miss a composable pair ``(a, b)``, and those that
+    may start a failing associativity triple ``(a, b, c)``.
+
+    Arrow ids, and every other id the composition table mentions, get
+    int32 indices; one more index stands for a missing product.  The
+    table becomes a dense array, so a product is a gather.  The scan runs
+    one unit pair ``u = s(a) = r(b)``, ``v = s(b)`` at a time, so no
+    temporary outgrows ``|s_fiber(u)| x |hom(v, u)| x |r_fiber(v)|``.  The
+    screen may flag an arrow that passes, never miss one that fails; when
+    arrow ids repeat it flags every arrow.  Nothing outlives the call.
+    """
+    arrows = groupoid.arrows
+    compose = groupoid.compose
+    if len(groupoid._by_id) != len(arrows):
+        return arrows, arrows
+    index = {a.id: i for i, a in enumerate(arrows)}
+    firsts, seconds = zip(*compose) if compose else ((), ())
+    products = tuple(compose.values())
+    for name in set(firsts).union(seconds, products).difference(index):
+        index[name] = len(index)
+    missing = len(index)
+
+    def indices(names) -> np.ndarray:
+        return np.fromiter(map(index.__getitem__, names), dtype=np.int32, count=len(names))
+
+    table = np.full((missing + 1, missing + 1), missing, dtype=np.int32)
+    table[indices(firsts), indices(seconds)] = indices(products)
+
+    s_fibers = {u: indices(ids) for u, ids in groupoid._s_fibers.items()}
+    r_fibers = {u: indices(ids) for u, ids in groupoid._r_fibers.items()}
+    homs: dict[tuple[str, str], list[int]] = {}
+    for i, b in enumerate(arrows):
+        if b.dst in r_fibers:
+            homs.setdefault((b.dst, b.src), []).append(i)
+    pair_flags = np.zeros(len(arrows), dtype=bool)
+    triple_flags = np.zeros(len(arrows), dtype=bool)
+    for (u, v), hom in homs.items():
+        a = s_fibers[u]
+        b = np.array(hom, dtype=np.int32)
+        ab = table[a[:, None], b]
+        pair_flags[a[(ab == missing).any(axis=1)]] = True
+        c = r_fibers.get(v)
+        if c is None:  # s(b) is not a unit, so nothing composes after b
+            continue
+        left = table[ab[:, :, None], c]
+        right = table[a[:, None, None], table[b[:, None], c]]
+        failing = (left != right) | (left == missing)
+        triple_flags[a[failing.any(axis=(1, 2))]] = True
+    return tuple(compress(arrows, pair_flags)), tuple(compress(arrows, triple_flags))
 
 
 def validate_weights(groupoid: FiniteGroupoid, haar: HaarSystem) -> ValidationReport:

@@ -64,8 +64,8 @@ DEFAULT_SEED = 0x5EED
 
 AMENABILITY_NOTE = (
     "finite groupoids are amenable, so the universal and reduced norms coincide; "
-    "this suite checks the reduced-norm consequences (norm equality, block identity, "
-    "trivial kernels), which is the finite shadow of the statement, not its analytic content"
+    "this suite checks the reduced-norm consequences (the block identity, held to 1e-12, "
+    "and trivial kernels), which is the finite shadow of the statement, not its analytic content"
 )
 
 

@@ -8,7 +8,9 @@ eigenvalue and rank oracles are a cyclic Jacobi iteration and Gaussian
 elimination written out in Python.  The bimodule kernels (product,
 actions, inner products, per-unit matrices) are the plain loops over
 the raw tables, summing the same terms in the same order as the
-library, so the library's results must equal theirs exactly.
+library, so the library's results must equal theirs exactly.  The
+structural validators are the exhaustive table scans, which must give
+the library's validation reports exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ import cmath
 import math
 
 import numpy as np
+
+from groupoidal.equivalence import PROPERNESS_NOTE, Bispace, GSpace
+from groupoidal.groupoid import FiniteGroupoid, ValidationReport, r_fiber
 
 
 def dft_norm(coefficients: list[complex]) -> float:
@@ -295,3 +300,300 @@ def unit_matrix(groupoid, weights: dict, u: str, values: dict) -> np.ndarray:
             if v:
                 entries[i, j] = v * weights[a] * (roots[i] / roots[j])
     return entries
+
+
+# --- structural validation, the exhaustive table scans ------------------------
+#
+# ``validate_groupoid`` and ``validate_equivalence`` as they were before the
+# library screened the composable pairs and associativity with numpy gathers
+# and indexed the action rows of the commutation, compatibility and freeness
+# scans: every pair, triple and row is visited.  The library's reports must
+# equal theirs exactly, violations in the same order with the same text.
+
+
+def validate_groupoid(groupoid: FiniteGroupoid) -> ValidationReport:
+    """Check every groupoid axiom exhaustively; empty report iff all hold.
+
+    Malformed table references (unknown arrow or unit ids) are reported
+    with their own rules rather than raised, so a single run surfaces
+    every defect in a fixture.
+    """
+    rep = ValidationReport(subject="groupoid")
+    seen_units: set[str] = set()
+    for u in groupoid.units:
+        if u in seen_units:
+            rep.add("unique-ids", f"duplicate unit id {u!r}", u)
+        seen_units.add(u)
+    seen_arrows: set[str] = set()
+    for a in groupoid.arrows:
+        if a.id in seen_arrows:
+            rep.add("unique-ids", f"duplicate arrow id {a.id!r}", a.id)
+        seen_arrows.add(a.id)
+
+    units = set(groupoid.units)
+    known = groupoid._by_id
+    for a in groupoid.arrows:
+        if a.src not in units:
+            rep.add("unknown-unit", f"arrow {a.id!r} has unknown source unit {a.src!r}", a.id)
+        if a.dst not in units:
+            rep.add("unknown-unit", f"arrow {a.id!r} has unknown range unit {a.dst!r}", a.id)
+
+    # unit arrows
+    for u in groupoid.units:
+        uid = groupoid.unit_arrow.get(u)
+        if uid is None:
+            rep.add("unit-arrow", f"unit {u!r} has no identity arrow", u)
+        elif uid not in known:
+            rep.add("unknown-arrow", f"identity arrow {uid!r} of unit {u!r} is unknown", uid, u)
+        else:
+            a = known[uid]
+            if a.src != u or a.dst != u:
+                rep.add("unit-arrow", f"identity arrow {uid!r} does not sit at unit {u!r}", uid, u)
+    for u in groupoid.unit_arrow:
+        if u not in units:
+            rep.add("unit-arrow", f"identity arrow listed for unknown unit {u!r}", u)
+
+    # inverse table
+    for a in groupoid.arrows:
+        ia = groupoid.inverse.get(a.id)
+        if ia is None:
+            rep.add("inverse-domain", f"arrow {a.id!r} has no inverse entry", a.id)
+            continue
+        if ia not in known:
+            rep.add("unknown-arrow", f"inverse of {a.id!r} is unknown arrow {ia!r}", a.id, ia)
+            continue
+        if groupoid.inverse.get(ia) != a.id:
+            rep.add("inverse-involution", f"inverse(inverse({a.id!r})) != {a.id!r}", a.id, ia)
+        b = known[ia]
+        if b.dst != a.src or b.src != a.dst:
+            rep.add(
+                "inverse-endpoints",
+                f"inverse of {a.id!r} must swap source and range, got {ia!r}",
+                a.id,
+                ia,
+            )
+    for aid in groupoid.inverse:
+        if aid not in known:
+            rep.add("inverse-domain", f"inverse listed for unknown arrow {aid!r}", aid)
+
+    # composition table: definedness both ways, endpoint consistency
+    for (a, b), c in groupoid.compose.items():
+        if a not in known or b not in known:
+            rep.add("unknown-arrow", f"composition entry ({a!r}, {b!r}) references unknown arrows", a, b)
+            continue
+        if known[a].src != known[b].dst:
+            rep.add(
+                "compose-definedness",
+                f"composition defined for non-composable pair ({a!r}, {b!r})",
+                a,
+                b,
+            )
+        if c not in known:
+            rep.add("unknown-arrow", f"composition ({a!r}, {b!r}) yields unknown arrow {c!r}", a, b, c)
+            continue
+        if known[c].dst != known[a].dst:
+            rep.add(
+                "compose-range",
+                f"range of ({a!r} {b!r}) is {known[c].dst!r}, expected {known[a].dst!r}",
+                a,
+                b,
+                c,
+            )
+        if known[c].src != known[b].src:
+            rep.add(
+                "compose-source",
+                f"source of ({a!r} {b!r}) is {known[c].src!r}, expected {known[b].src!r}",
+                a,
+                b,
+                c,
+            )
+    for a in groupoid.arrows:
+        for b in groupoid._r_fibers.get(a.src, ()):
+            if (a.id, b) not in groupoid.compose:
+                rep.add(
+                    "compose-definedness",
+                    f"composable pair ({a.id!r}, {b!r}) missing from composition table",
+                    a.id,
+                    b,
+                )
+
+    def mul(a: str, b: str) -> str | None:
+        return groupoid.compose.get((a, b))
+
+    # identity and inverse laws (guarded, earlier rules cover missing refs)
+    for a in groupoid.arrows:
+        us = groupoid.unit_arrow.get(a.src)
+        ur = groupoid.unit_arrow.get(a.dst)
+        if us is not None and mul(a.id, us) != a.id:
+            rep.add("unit-identity", f"{a.id!r} * unit({a.src!r}) != {a.id!r}", a.id, us)
+        if ur is not None and mul(ur, a.id) != a.id:
+            rep.add("unit-identity", f"unit({a.dst!r}) * {a.id!r} != {a.id!r}", ur, a.id)
+        ia = groupoid.inverse.get(a.id)
+        if ia is None or ia not in known:
+            continue
+        if ur is not None and mul(a.id, ia) != ur:
+            rep.add("inverse-law", f"{a.id!r} * {ia!r} != unit({a.dst!r})", a.id, ia)
+        if us is not None and mul(ia, a.id) != us:
+            rep.add("inverse-law", f"{ia!r} * {a.id!r} != unit({a.src!r})", ia, a.id)
+
+    # associativity on every composable triple
+    for a in groupoid.arrows:
+        for b in groupoid._r_fibers.get(a.src, ()):
+            ab = mul(a.id, b)
+            for c in groupoid._r_fibers.get(known[b].src, ()):
+                bc = mul(b, c)
+                left = mul(ab, c) if ab is not None else None
+                right = mul(a.id, bc) if bc is not None else None
+                if left != right or left is None:
+                    rep.add(
+                        "associativity",
+                        f"({a.id!r} {b!r}) {c!r} != {a.id!r} ({b!r} {c!r})",
+                        a.id,
+                        b,
+                        c,
+                    )
+    return rep
+
+
+
+def _validate_action_side(rep: ValidationReport, Z: Bispace, side: str) -> None:
+    grpd = Z.left_groupoid if side == "left" else Z.right_groupoid
+    anchor = Z.r_map if side == "left" else Z.s_map
+    table = Z.left_action if side == "left" else Z.right_action
+    points = set(Z.points)
+
+    for z in Z.points:
+        u = anchor.get(z)
+        if u is None:
+            rep.add("unknown-id", f"point {z!r} has no {side} anchor", z)
+        elif not grpd.has_unit(u):
+            rep.add("unknown-id", f"{side} anchor of {z!r} is unknown unit {u!r}", z, u)
+
+    for key, out in table.items():
+        gamma, z = key if side == "left" else (key[1], key[0])
+        if not grpd.has_arrow(gamma) or z not in points or out not in points:
+            rep.add("unknown-id", f"{side} action entry {key!r} -> {out!r} references unknown ids", *key)
+            continue
+        u = anchor.get(z)
+        matches = (grpd.s(gamma) == u) if side == "left" else (grpd.r(gamma) == u)
+        if not matches:
+            rep.add(
+                "action-definedness",
+                f"{side} action defined on non-matching pair {key!r}",
+                gamma,
+                z,
+            )
+        # the moving anchor follows the arrow, the other anchor is preserved
+        if side == "left":
+            if Z.r_map.get(out) != grpd.r(gamma):
+                rep.add("action-range", f"range anchor of {gamma!r}*{z!r} is not r({gamma!r})", gamma, z)
+            if Z.s_map.get(out) != Z.s_map.get(z):
+                rep.add("action-range", f"left action moved the right anchor of {z!r}", gamma, z)
+        else:
+            if Z.s_map.get(out) != grpd.s(gamma):
+                rep.add("action-range", f"source anchor of {z!r}*{gamma!r} is not s({gamma!r})", z, gamma)
+            if Z.r_map.get(out) != Z.r_map.get(z):
+                rep.add("action-range", f"right action moved the left anchor of {z!r}", z, gamma)
+
+    for z in Z.points:
+        u = anchor.get(z)
+        if u is None or not grpd.has_unit(u):
+            continue
+        for gamma in (r_fiber(grpd, u) if side == "right" else ()):
+            if (z, gamma) not in table:
+                rep.add("action-definedness", f"right action missing for ({z!r}, {gamma!r})", z, gamma)
+        if side == "left":
+            for gamma in grpd._s_fibers.get(u, ()):
+                if (gamma, z) not in table:
+                    rep.add("action-definedness", f"left action missing for ({gamma!r}, {z!r})", gamma, z)
+        # identity acts trivially
+        uid = grpd.unit_arrow.get(u)
+        if uid is not None:
+            got = table.get((uid, z) if side == "left" else (z, uid))
+            if got != z:
+                rep.add("unit-acts-trivially", f"unit arrow of {u!r} moves point {z!r}", z)
+
+    # compatibility with composition
+    for (a, b), ab in grpd.compose.items():
+        if not grpd.has_arrow(a) or not grpd.has_arrow(b) or not grpd.has_arrow(ab):
+            continue
+        if side == "left":
+            for z in Z.points:
+                inner = table.get((b, z))
+                if inner is None:
+                    continue
+                if table.get((a, inner)) != table.get((ab, z)):
+                    rep.add("action-compatibility", f"({a!r}{b!r})*{z!r} != {a!r}*({b!r}*{z!r})", a, b, z)
+        else:
+            for z in Z.points:
+                inner = table.get((z, a))
+                if inner is None:
+                    continue
+                if table.get((inner, b)) != table.get((z, ab)):
+                    rep.add("action-compatibility", f"{z!r}*({a!r}{b!r}) != ({z!r}*{a!r})*{b!r}", z, a, b)
+
+    # freeness
+    for z in Z.points:
+        u = anchor.get(z)
+        if u is None:
+            continue
+        uid = grpd.unit_arrow.get(u)
+        for key, out in table.items():
+            gamma, zz = key if side == "left" else (key[1], key[0])
+            if zz == z and out == z and gamma != uid:
+                rep.add("freeness", f"non-identity arrow {gamma!r} fixes point {z!r}", gamma, z)
+
+    # anchor surjectivity (discrete stand-in for openness of the anchor map)
+    hit = {anchor.get(z) for z in Z.points}
+    for u in grpd.units:
+        if u not in hit:
+            rep.add("anchor-surjective", f"no point lies over {side} unit {u!r}", u)
+
+
+def _right_orbits(Z: Bispace) -> tuple[tuple[str, ...], ...]:
+    mirror = GSpace(
+        Z.right_groupoid,
+        Z.points,
+        Z.s_map,
+        {(eta, z): out for (z, eta), out in Z.right_action.items()},
+    )
+    return mirror.orbits()
+
+
+def validate_equivalence(Z: Bispace) -> ValidationReport:
+    """Check the full equivalence axiom list; empty report iff Z is one."""
+    rep = ValidationReport(subject="equivalence")
+    rep.notes.append(PROPERNESS_NOTE)
+    _validate_action_side(rep, Z, "left")
+    _validate_action_side(rep, Z, "right")
+
+    # the two actions commute
+    for (gamma, z), gz in Z.left_action.items():
+        for (z2, eta), ze in Z.right_action.items():
+            if z2 != z:
+                continue
+            left_then_right = Z.right_action.get((gz, eta))
+            right_then_left = Z.left_action.get((gamma, ze))
+            if left_then_right != right_then_left or left_then_right is None:
+                rep.add("actions-commute", f"({gamma!r}*{z!r})*{eta!r} != {gamma!r}*({z!r}*{eta!r})", gamma, z, eta)
+
+    # left anchor identifies right orbits with left units, and conversely
+    for name, orbits, anchor, units in (
+        ("right-orbits-vs-left-units", _right_orbits(Z), Z.r_map, Z.left_groupoid.units),
+        ("left-orbits-vs-right-units", Z.left_space.orbits(), Z.s_map, Z.right_groupoid.units),
+    ):
+        seen: dict[str, tuple[str, ...]] = {}
+        for orbit in orbits:
+            anchors = {anchor.get(z) for z in orbit}
+            if len(anchors) != 1:
+                rep.add("orbit-bijection", f"{name}: orbit {orbit!r} meets several anchor units")
+                continue
+            (u,) = anchors
+            if u in seen:
+                rep.add("orbit-bijection", f"{name}: unit {u!r} hit by two distinct orbits", u)
+            seen[u] = orbit
+        for u in units:
+            if u not in seen:
+                rep.add("orbit-bijection", f"{name}: unit {u!r} not hit by any orbit", u)
+    return rep
+

@@ -11,7 +11,7 @@ import groupoidal
 from groupoidal import HaarSystem
 from groupoidal.cli import build_parser, main
 from groupoidal.fileio import dump_element, dump_equivalence, dump_groupoid, write_json
-from groupoidal.fixtures import cyclic_group, pair_trivialization, transitive_equivalence
+from groupoidal.fixtures import cyclic_group, pair_groupoid, pair_trivialization, transitive_equivalence
 from groupoidal.verify import SUITES
 from groupoidal import AlgebraElement
 
@@ -145,6 +145,26 @@ class TestKernelDimCommand:
         code, out, _ = run(capsys, "kernel-dim", "--groupoid", str(tmp_path / "g.json"))
         assert code == 0
         assert json.loads(out)["kernel_dimension"] == 0
+
+
+class TestGroupoidGate:
+    # pair(2) without the product ((2,2),(2,2)): a reduced norm solved at one
+    # unit per orbit would not notice, so both commands check the axioms first
+    @pytest.mark.parametrize("command", ["norm", "kernel-dim"])
+    def test_broken_composition_exits_two(self, capsys, tmp_path, command):
+        g = pair_groupoid(2)
+        tables = dump_groupoid(g, HaarSystem.counting(g))
+        tables["compose"].remove(["(2,2)", "(2,2)", "(2,2)"])
+        write_json(tmp_path / "g.json", tables)
+        write_json(tmp_path / "f.json", dump_element(AlgebraElement.delta("G", "(1,1)")))
+        argv = [command, "--groupoid", str(tmp_path / "g.json")]
+        if command == "norm":
+            argv += ["--element", str(tmp_path / "f.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "[compose-definedness] composable pair ('(2,2)', '(2,2)') missing" in err
 
 
 class TestBuildLinkingCommand:

@@ -139,8 +139,10 @@ class TestOppositeSpace:
             Z.left_groupoid, Z.right_groupoid, Z.points, maps["r_map"], maps["s_map"],
             dict(Z.left_action), dict(Z.right_action),
         )
-        with pytest.raises(UnknownIdError, match="z1"):
+        with pytest.raises(UnknownIdError, match=f"point 'z1' has no {anchor[0]} anchor"):
             opposite_space(broken)
+        with pytest.raises(UnknownIdError, match="unknown point id 'z9'"):
+            getattr(broken, f"{anchor[0]}_of")("z9")
 
     def test_opposite_action_formulas(self, self2):
         Z = self2[0]
