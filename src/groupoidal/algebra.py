@@ -24,21 +24,27 @@ carriers.
 The kernels resolve no ids themselves.  They walk rows that the
 groupoid and the bispace build once, on first use, from their tables:
 ``FiniteGroupoid.product_rows`` (``a -> ((b, ab), ...)``) for the
-product, ``Bispace.left_rows`` and ``right_rows`` for the actions, and
-``Bispace.rip_rows`` and ``lip_rows`` (the terms of each inner-product
-value, one row per base point) for the inner products.  Every sum runs
-over the same terms in the same order as the formulas above.  Haar
-weights are not part of the rows: they are read from the ``HaarSystem``
-on every call, so a weight changed in place shows in the next result.
-An id missing from a table raises ``UnknownIdError``.
+product, and one row format for the whole bimodule.  Each of
+``Bispace.left_rows``, ``right_rows``, ``rip_rows`` and ``lip_rows``
+maps a key (a point, or an arrow for the inner products) to one row per
+base point, a row being a tuple of ``(weight id, x id, y id)`` terms.
+One kernel, ``_row_sums``, serves both actions and both inner products:
+it sums ``x(i) * y(j) * weight(w)`` in row order, and each public map
+only picks its rows, the factor it conjugates and its carrier labels.
+The actions have a single row per key.  Every sum runs over the same
+terms in the same order as the formulas above.  Haar weights are not
+part of the rows: they are read from the ``HaarSystem`` on every call,
+so a weight changed in place shows in the next result.  An id missing
+from a table raises ``UnknownIdError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .errors import CarrierMismatchError, StructureBrokenError, UnknownIdError
-from .equivalence import Bispace, base_point, opposite_point
+from .equivalence import Bispace, Rows, base_point, opposite_point
 from .groupoid import FiniteGroupoid, HaarSystem
 from .linking import LinkingGroupoid, block_compose, block_decompose, build_linking_haar
 
@@ -145,7 +151,50 @@ def involution(f: AlgebraElement, groupoid: FiniteGroupoid) -> AlgebraElement:
     )
 
 
-# --- bimodule actions -------------------------------------------------------
+# --- the bimodule: both actions and both inner products -----------------------
+
+
+def _row_sums(
+    rows: Rows,
+    xv: Mapping[str, complex],
+    yv: Mapping[str, complex],
+    weights: Mapping[str, float],
+    haar_name: str,
+    key_name: str,
+) -> dict[str, complex]:
+    """``key -> sum of x(i) * y(j) * weight(w)`` over the terms ``(w, i, j)`` of each row.
+
+    Every key has one row per base point; all of them must give the same
+    sum, otherwise the Haar system is broken and the call aborts.
+    """
+    out: dict[str, complex] = {}
+    try:
+        for key, base_rows in rows.items():
+            value = None
+            for row in base_rows:
+                acc = 0.0 + 0.0j
+                for w, i, j in row:
+                    a = xv.get(i)
+                    if a:
+                        b = yv.get(j)
+                        if b:
+                            acc += a * b * weights[w]
+                if value is None:
+                    value = acc
+                elif abs(acc - value) > 1e-12 * max(1.0, abs(value)):
+                    raise StructureBrokenError(
+                        f"inner product at {key_name} {key!r} depends on the base point "
+                        f"({value!r} vs {acc!r}); Haar invariance is broken"
+                    )
+            if value != 0:
+                out[key] = value
+    except KeyError as exc:
+        raise _missing(exc, haar_name) from None
+    return out
+
+
+def _conjugate(values: Mapping[str, complex]) -> dict[str, complex]:
+    return {k: v.conjugate() for k, v in values.items()}
 
 
 def left_action(
@@ -153,22 +202,7 @@ def left_action(
 ) -> AlgebraElement:
     _expect(f, Z.labels[0], "left factor")
     _expect(phi, Z.labels[2], "module element")
-    fv, pv = f.values, phi.values
-    weights = left_haar.weights
-    out: dict[str, complex] = {}
-    try:
-        for z, row in Z.left_rows.items():
-            acc = 0.0 + 0.0j
-            for gamma, y in row:
-                v = pv.get(y)
-                if v:
-                    fg = fv.get(gamma)
-                    if fg:
-                        acc += fg * v * weights[gamma]
-            if acc != 0:
-                out[z] = acc
-    except KeyError as exc:
-        raise _missing(exc, "left Haar system") from None
+    out = _row_sums(Z.left_rows, f.values, phi.values, left_haar.weights, "left Haar system", "point")
     return AlgebraElement(phi.carrier, out)
 
 
@@ -177,37 +211,8 @@ def right_action(
 ) -> AlgebraElement:
     _expect(phi, Z.labels[2], "module element")
     _expect(b, Z.labels[1], "right factor")
-    pv, bv = phi.values, b.values
-    weights = right_haar.weights
-    out: dict[str, complex] = {}
-    try:
-        for z, row in Z.right_rows.items():
-            acc = 0.0 + 0.0j
-            for eta, z_eta, inv_eta in row:
-                v = pv.get(z_eta)
-                if v:
-                    be = bv.get(inv_eta)
-                    if be:
-                        acc += v * be * weights[eta]
-            if acc != 0:
-                out[z] = acc
-    except KeyError as exc:
-        raise _missing(exc, "right Haar system") from None
+    out = _row_sums(Z.right_rows, phi.values, b.values, right_haar.weights, "right Haar system", "point")
     return AlgebraElement(phi.carrier, out)
-
-
-# --- inner products ----------------------------------------------------------
-
-
-def _assert_base_point_free(values: list[complex], context: str) -> complex:
-    ref = values[0]
-    for v in values[1:]:
-        if abs(v - ref) > 1e-12 * max(1.0, abs(ref)):
-            raise StructureBrokenError(
-                f"inner product at {context} depends on the base point "
-                f"({ref!r} vs {v!r}); Haar invariance is broken"
-            )
-    return ref
 
 
 def rip(
@@ -216,27 +221,10 @@ def rip(
     """Right inner product, valued in functions on the right groupoid."""
     _expect(phi, Z.labels[2], "first factor")
     _expect(psi, Z.labels[2], "second factor")
-    pv, qv = phi.values, psi.values
-    weights = left_haar.weights
-    out: dict[str, complex] = {}
-    try:
-        for eta, base_rows in Z.rip_rows:
-            samples = []
-            for row in base_rows:
-                acc = 0.0 + 0.0j
-                for gamma, y, y_eta in row:
-                    a = pv.get(y)
-                    if not a:
-                        continue
-                    b = qv.get(y_eta)
-                    if b:
-                        acc += a.conjugate() * b * weights[gamma]
-                samples.append(acc)
-            value = _assert_base_point_free(samples, f"right arrow {eta!r}")
-            if value != 0:
-                out[eta] = value
-    except KeyError as exc:
-        raise _missing(exc, "left Haar system") from None
+    out = _row_sums(
+        Z.rip_rows, _conjugate(phi.values), psi.values, left_haar.weights,
+        "left Haar system", "right arrow",
+    )
     return AlgebraElement(Z.labels[1], out)
 
 
@@ -246,25 +234,10 @@ def lip(
     """Left inner product, valued in functions on the left groupoid."""
     _expect(phi, Z.labels[2], "first factor")
     _expect(psi, Z.labels[2], "second factor")
-    pv, qv = phi.values, psi.values
-    weights = right_haar.weights
-    out: dict[str, complex] = {}
-    try:
-        for gamma, base_rows in Z.lip_rows:
-            samples = []
-            for row in base_rows:
-                acc = 0.0 + 0.0j
-                for eta, w_eta, gamma_w_eta in row:
-                    b = qv.get(w_eta)
-                    a = pv.get(gamma_w_eta)
-                    if a and b:
-                        acc += a * b.conjugate() * weights[eta]
-                samples.append(acc)
-            value = _assert_base_point_free(samples, f"left arrow {gamma!r}")
-            if value != 0:
-                out[gamma] = value
-    except KeyError as exc:
-        raise _missing(exc, "right Haar system") from None
+    out = _row_sums(
+        Z.lip_rows, phi.values, _conjugate(psi.values), right_haar.weights,
+        "right Haar system", "left arrow",
+    )
     return AlgebraElement(Z.labels[0], out)
 
 

@@ -8,20 +8,20 @@ passes, 1 on a check failure, 2 on malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import GroupoidalError, StructureBrokenError, UnknownIdError
 from .fileio import (
     dump_equivalence,
     dump_groupoid,
+    json_text,
     load_element,
     load_equivalence,
     load_groupoid,
     write_json,
 )
 from . import fixtures
-from .groupoid import validate_groupoid, validate_haar, validate_weights
+from .groupoid import HaarSystem, validate_groupoid, validate_haar, validate_weights
 from .linking import build_linking, build_linking_haar
 from .representations import ind_delta, operator_norm, reduced_kernel_dimension, reduced_norm
 from .verify import DEFAULT_SEED, SUITES, VerifyConfig, input_stages, run_suite, verify_all
@@ -31,7 +31,7 @@ __all__ = ["main", "entry_point"]
 
 def _emit(payload: dict, human: bool) -> None:
     if not human:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json_text(payload))
         return
     if "suites" in payload:
         print(f"status: {payload['status']}")
@@ -53,6 +53,38 @@ def _emit(payload: dict, human: bool) -> None:
     else:
         for key, value in sorted(payload.items()):
             print(f"{key}: {value}")
+
+
+def _write_or_print(output: str | None, payload: dict) -> None:
+    if output:
+        write_json(output, payload)
+    else:
+        print(json_text(payload))
+
+
+def _counting_equivalence(Z) -> dict:
+    return dump_equivalence(
+        Z, HaarSystem.counting(Z.left_groupoid), HaarSystem.counting(Z.right_groupoid)
+    )
+
+
+def _scaled_pair(n: int) -> dict:
+    g = fixtures.pair_groupoid(n)
+    haar = fixtures.source_weighted_haar(g, {str(i): float(i) for i in range(1, n + 1)})
+    return dump_groupoid(g, haar)
+
+
+# gen-fixture family -> payload builder taking (n, m)
+_FAMILIES = {
+    "pair": lambda n, m: dump_groupoid(fixtures.pair_groupoid(n)),
+    "cyclic": lambda n, m: dump_groupoid(fixtures.cyclic_group(n)),
+    "trivial": lambda n, m: dump_groupoid(fixtures.trivial_group()),
+    "scaled-pair": lambda n, m: _scaled_pair(n),
+    "transitive": lambda n, m: dump_groupoid(fixtures.transitive_groupoid(n, m)),
+    "pair-trivial": lambda n, m: _counting_equivalence(fixtures.pair_trivialization(n)),
+    "self": lambda n, m: _counting_equivalence(fixtures.cyclic_self_equivalence(n)),
+    "transitive-equiv": lambda n, m: _counting_equivalence(fixtures.transitive_equivalence(n, m)),
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -102,19 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("gen-fixture", help="emit a fixture from a parameterized family")
-    p.add_argument(
-        "family",
-        choices=(
-            "pair",
-            "cyclic",
-            "trivial",
-            "scaled-pair",
-            "transitive",
-            "pair-trivial",
-            "self",
-            "transitive-equiv",
-        ),
-    )
+    p.add_argument("family", choices=tuple(_FAMILIES))
     p.add_argument("--n", type=int, default=2, help="points or group order")
     p.add_argument("--m", type=int, default=2, help="isotropy order (transitive families)")
     p.add_argument("--output", help="write here instead of stdout")
@@ -142,11 +162,7 @@ def _cmd_build_linking(args) -> int:
     Z, w_left, w_right = load_equivalence(args.equivalence)
     link = build_linking(Z)
     kappa = build_linking_haar(link, w_left, w_right)
-    payload = dump_groupoid(link.groupoid, kappa, sector=link.sector)
-    if args.output:
-        write_json(args.output, payload)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    _write_or_print(args.output, dump_groupoid(link.groupoid, kappa, sector=link.sector))
     return 0
 
 
@@ -199,47 +215,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen_fixture(args) -> int:
-    family = args.family
-    if family == "pair":
-        g = fixtures.pair_groupoid(args.n)
-        payload = dump_groupoid(g, None)
-    elif family == "cyclic":
-        payload = dump_groupoid(fixtures.cyclic_group(args.n), None)
-    elif family == "trivial":
-        payload = dump_groupoid(fixtures.trivial_group(), None)
-    elif family == "scaled-pair":
-        g = fixtures.pair_groupoid(args.n)
-        haar = fixtures.source_weighted_haar(
-            g, {str(i): float(i) for i in range(1, args.n + 1)}
-        )
-        payload = dump_groupoid(g, haar)
-    elif family == "transitive":
-        payload = dump_groupoid(fixtures.transitive_groupoid(args.n, args.m), None)
-    elif family == "pair-trivial":
-        Z = fixtures.pair_trivialization(args.n)
-        payload = dump_equivalence(
-            Z,
-            fixtures.HaarSystem.counting(Z.left_groupoid),
-            fixtures.HaarSystem.counting(Z.right_groupoid),
-        )
-    elif family == "self":
-        Z = fixtures.cyclic_self_equivalence(args.n)
-        payload = dump_equivalence(
-            Z,
-            fixtures.HaarSystem.counting(Z.left_groupoid),
-            fixtures.HaarSystem.counting(Z.right_groupoid),
-        )
-    else:  # transitive-equiv
-        Z = fixtures.transitive_equivalence(args.n, args.m)
-        payload = dump_equivalence(
-            Z,
-            fixtures.HaarSystem.counting(Z.left_groupoid),
-            fixtures.HaarSystem.counting(Z.right_groupoid),
-        )
-    if args.output:
-        write_json(args.output, payload)
-    else:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+    _write_or_print(args.output, _FAMILIES[args.family](args.n, args.m))
     return 0
 
 

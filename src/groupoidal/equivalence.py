@@ -26,6 +26,9 @@ from typing import Mapping
 from .errors import BracketNotFoundError, StructureBrokenError, UnknownIdError
 from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, r_fiber
 
+# key -> one row per base point; a row is a tuple of (weight id, x id, y id) terms
+Rows = dict[str, tuple[tuple[tuple[str, str, str], ...], ...]]
+
 __all__ = [
     "GSpace",
     "Bispace",
@@ -137,17 +140,13 @@ class Bispace:
         object.__setattr__(
             self, "_left_space", GSpace(self.left_groupoid, self.points, self.r_map, self.left_action)
         )
-        r_fibers: dict[str, list[str]] = {}
-        s_fibers: dict[str, list[str]] = {}
-        for z in self.points:
-            r_fibers.setdefault(self.r_map.get(z, ""), []).append(z)
-            s_fibers.setdefault(self.s_map.get(z, ""), []).append(z)
-        object.__setattr__(self, "_r_fibers", {u: tuple(v) for u, v in r_fibers.items()})
-        object.__setattr__(self, "_s_fibers", {u: tuple(v) for u, v in s_fibers.items()})
-        between: dict[tuple[str, str], list[str]] = {}
-        for (z, eta), out in self.right_action.items():
-            between.setdefault((z, out), []).append(eta)
-        object.__setattr__(self, "_right_between", {k: tuple(sorted(v)) for k, v in between.items()})
+        # The right action keyed ``(eta, z) -> z eta``, for its fibers over
+        # ``s``, brackets and orbits.  Its arrows act on the right, so
+        # ``rho_measure`` and ``r_mu_rep`` do not apply to it.
+        right = {(eta, z): out for (z, eta), out in self.right_action.items()}
+        object.__setattr__(
+            self, "_right_space", GSpace(self.right_groupoid, self.points, self.s_map, right)
+        )
 
     @property
     def left_space(self) -> GSpace:
@@ -183,72 +182,74 @@ class Bispace:
             raise UnknownIdError(f"right action undefined on ({z!r}, {eta!r})") from None
 
     def r_fiber_points(self, u: str) -> tuple[str, ...]:
-        return self._r_fibers.get(u, ())
+        return self._left_space.fiber(u)
 
     def s_fiber_points(self, v: str) -> tuple[str, ...]:
-        return self._s_fibers.get(v, ())
+        return self._right_space.fiber(v)
 
-    # --- action rows, built on first use ---------------------------------
+    # --- bimodule rows, built on first use --------------------------------
     #
-    # Each row lists the terms of one sum of the bimodule kernels in
-    # ``algebra`` with every id already resolved.  They hold ids only, no
-    # Haar weights.  An entry missing from the tables raises
-    # ``UnknownIdError`` while a row is built; nothing is cached then.
+    # Each table maps a key to one row per base point; a row lists the
+    # terms ``(w, i, j)`` of one sum ``x(i) * y(j) * weight(w)`` of the
+    # bimodule kernel in ``algebra``, with every id already resolved.  The
+    # actions have a single row per key.  They hold ids only, no Haar
+    # weights.  An entry missing from the tables raises ``UnknownIdError``
+    # while a table is built; nothing is cached then.
 
     @cached_property
-    def left_rows(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """``z -> ((gamma, inverse(gamma) z), ...)`` over the range fiber of ``r(z)``."""
+    def left_rows(self) -> Rows:
+        """``z -> (row,)``, the row ``((gamma, gamma, inverse(gamma) z), ...)`` over ``r(z)``."""
         G = self.left_groupoid
         return {
-            z: tuple((g, self.left_act(G.inv(g), z)) for g in r_fiber(G, self.r_of(z)))
+            z: (tuple((g, g, self.left_act(G.inv(g), z)) for g in r_fiber(G, self.r_of(z))),)
             for z in self.points
         }
 
     @cached_property
-    def right_rows(self) -> dict[str, tuple[tuple[str, str, str], ...]]:
-        """``z -> ((eta, z eta, inverse(eta)), ...)`` over the range fiber of ``s(z)``."""
+    def right_rows(self) -> Rows:
+        """``z -> (row,)``, the row ``((eta, z eta, inverse(eta)), ...)`` over ``s(z)``."""
         H = self.right_groupoid
         return {
-            z: tuple((e, self.right_act(z, e), H.inv(e)) for e in r_fiber(H, self.s_of(z)))
+            z: (tuple((e, self.right_act(z, e), H.inv(e)) for e in r_fiber(H, self.s_of(z))),)
             for z in self.points
         }
 
     @cached_property
-    def rip_rows(self) -> tuple[tuple[str, tuple[tuple[tuple[str, str, str], ...], ...]], ...]:
+    def rip_rows(self) -> Rows:
         """Per right arrow ``eta``, one row per base point ``z`` over ``r(eta)``.
 
         A row holds ``(gamma, y, y eta)`` with ``y = inverse(gamma) z``
         for each ``gamma`` over ``r(z)``.
         """
         H = self.right_groupoid
-        rows = []
+        rows = {}
         for eta in H.arrow_ids:
             base_points = self.s_fiber_points(H.r(eta))
             if not base_points:
                 raise UnknownIdError(f"no point lies over right unit {H.r(eta)!r}")
-            rows.append((eta, tuple(
-                tuple((g, y, self.right_act(y, eta)) for g, y in self.left_rows[z])
+            rows[eta] = tuple(
+                tuple((g, y, self.right_act(y, eta)) for g, _, y in self.left_rows[z][0])
                 for z in base_points
-            )))
-        return tuple(rows)
+            )
+        return rows
 
     @cached_property
-    def lip_rows(self) -> tuple[tuple[str, tuple[tuple[tuple[str, str, str], ...], ...]], ...]:
+    def lip_rows(self) -> Rows:
         """Per left arrow ``gamma``, one row per base point ``w`` over ``s(gamma)``.
 
-        A row holds ``(eta, w eta, gamma w eta)`` for each ``eta`` over ``s(w)``.
+        A row holds ``(eta, gamma w eta, w eta)`` for each ``eta`` over ``s(w)``.
         """
         G = self.left_groupoid
-        rows = []
+        rows = {}
         for gamma in G.arrow_ids:
             base_points = self.r_fiber_points(G.s(gamma))
             if not base_points:
                 raise UnknownIdError(f"no point lies over left unit {G.s(gamma)!r}")
-            rows.append((gamma, tuple(
-                tuple((e, we, self.left_act(gamma, we)) for e, we, _ in self.right_rows[w])
+            rows[gamma] = tuple(
+                tuple((e, self.left_act(gamma, we), we) for e, we, _ in self.right_rows[w][0])
                 for w in base_points
-            )))
-        return tuple(rows)
+            )
+        return rows
 
 
 @dataclass(frozen=True)
@@ -256,10 +257,6 @@ class FiberMeasure:
     """Nonnegative point masses supported on a single orbit or anchor fiber."""
 
     weights: dict[str, float]
-    support_label: str = ""
-
-    def mass(self, z: str) -> float:
-        return self.weights.get(z, 0.0)
 
 
 def _all_integral(values) -> bool:
@@ -389,16 +386,6 @@ def _points_by_arrow(points: tuple[str, ...], keys) -> dict[str, list[str]]:
     return acted_on
 
 
-def _right_orbits(Z: Bispace) -> tuple[tuple[str, ...], ...]:
-    mirror = GSpace(
-        Z.right_groupoid,
-        Z.points,
-        Z.s_map,
-        {(eta, z): out for (z, eta), out in Z.right_action.items()},
-    )
-    return mirror.orbits()
-
-
 def validate_equivalence(Z: Bispace) -> ValidationReport:
     """Check the full equivalence axiom list; empty report iff Z is one."""
     rep = ValidationReport(subject="equivalence")
@@ -419,7 +406,7 @@ def validate_equivalence(Z: Bispace) -> ValidationReport:
 
     # left anchor identifies right orbits with left units, and conversely
     for name, orbits, anchor, units in (
-        ("right-orbits-vs-left-units", _right_orbits(Z), Z.r_map, Z.left_groupoid.units),
+        ("right-orbits-vs-left-units", Z._right_space.orbits(), Z.r_map, Z.left_groupoid.units),
         ("left-orbits-vs-right-units", Z.left_space.orbits(), Z.s_map, Z.right_groupoid.units),
     ):
         seen: dict[str, tuple[str, ...]] = {}
@@ -463,7 +450,7 @@ def h_bracket(Z: Bispace, y: str, z: str) -> str:
         raise BracketNotFoundError(
             f"points {y!r} and {z!r} lie over different left-anchor units"
         )
-    matches = Z._right_between.get((y, z), ())
+    matches = Z._right_space.arrows_between(y, z)
     if not matches:
         raise BracketNotFoundError(f"no right arrow carries {y!r} to {z!r}")
     if len(matches) > 1:
@@ -552,7 +539,7 @@ def sigma_measure(Z: Bispace, u: str, right_haar: HaarSystem) -> FiberMeasure:
                 f"orbit measure over {u!r} depends on the representative "
                 f"({fiber[0]!r} vs {z!r}); Haar invariance is broken"
             )
-    return FiberMeasure(reference, support_label=f"unit:{u}")
+    return FiberMeasure(reference)
 
 
 def rho_measure(X: GSpace, x: str, haar: HaarSystem) -> FiberMeasure:
@@ -583,7 +570,7 @@ def rho_measure(X: GSpace, x: str, haar: HaarSystem) -> FiberMeasure:
                 f"orbit measure of {x!r} depends on the representative "
                 f"({x!r} vs {y!r}); Haar invariance is broken"
             )
-    return FiberMeasure(reference, support_label=f"orbit:{min(reference)}")
+    return FiberMeasure(reference)
 
 
 def rho_mu_measure(X: GSpace, mu: Mapping[str, float], haar: HaarSystem) -> FiberMeasure:
@@ -611,4 +598,4 @@ def rho_mu_measure(X: GSpace, mu: Mapping[str, float], haar: HaarSystem) -> Fibe
         orbit_measure = rho_measure(X, rep, haar)
         for pt, w in orbit_measure.weights.items():
             weights[pt] = weights.get(pt, 0.0) + m * w
-    return FiberMeasure(weights, support_label="mixture")
+    return FiberMeasure(weights)

@@ -42,6 +42,7 @@ __all__ = [
     "load_element",
     "dump_element",
     "read_json",
+    "json_text",
     "write_json",
 ]
 
@@ -60,10 +61,13 @@ def read_json(path: str | Path) -> dict:
     return data
 
 
+def json_text(payload: dict) -> str:
+    """The one JSON output format: sorted keys, two-space indent."""
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(payload) + "\n", encoding="utf-8")
 
 
 def _require(data: dict, key: str, kind, where: str):

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, rip
-from .equivalence import Bispace, GSpace
+from .equivalence import Bispace, GSpace, rho_mu_measure
 from .errors import StructureBrokenError, UnknownIdError
 from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, i_norm
 from .numerics import hermitian_eigenvalues, spectral_norm
@@ -165,35 +165,14 @@ def r_mu_rep(
 
     ``mu`` assigns nonnegative mass to orbits (keyed by any orbit
     representative); the matrix is block diagonal over the orbits with
-    positive mass.
+    positive mass, and the basis masses are those of ``rho_mu_measure``.
     """
-    from .equivalence import rho_measure
-
     if not X.is_free():
         raise StructureBrokenError("the action is not free; no orbit representation exists")
-    G = X.groupoid
-    orbits = X.orbits()
-    rep_of = {z: orbit[0] for orbit in orbits for z in orbit}
-    merged: dict[str, float] = {}
-    for key in sorted(mu):
-        if key not in rep_of:
-            raise UnknownIdError(f"measure atom on unknown point {key!r}")
-        if mu[key] < 0:
-            raise ValueError(f"measure mass for orbit of {key!r} is negative: {mu[key]!r}")
-        merged[rep_of[key]] = merged.get(rep_of[key], 0.0) + float(mu[key])
-
-    basis: list[str] = []
-    masses: list[float] = []
-    for orbit in orbits:
-        m = merged.get(orbit[0], 0.0)
-        if m == 0.0:
-            continue
-        measure = rho_measure(X, orbit[0], haar)
-        for point in orbit:
-            basis.append(point)
-            masses.append(m * measure.weights[point])
+    mass = rho_mu_measure(X, mu, haar).weights
+    basis = [z for orbit in X.orbits() for z in orbit if z in mass]
     k = len(basis)
-    weights = np.array(masses, dtype=float)
+    weights = np.array([mass[z] for z in basis], dtype=float)
     roots = np.sqrt(weights)
     entries = np.zeros((k, k), dtype=np.complex128)
     values = f.values

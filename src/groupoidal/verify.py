@@ -11,7 +11,6 @@ suites entirely, since their residuals would only be noise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -28,6 +27,7 @@ from .algebra import (
 )
 from .equivalence import Bispace, validate_equivalence
 from .errors import GroupoidalError, StructureBrokenError
+from .fileio import json_text
 from .groupoid import HaarSystem, ValidationReport, validate_groupoid, validate_haar
 from .linking import LinkingGroupoid, block_compose, build_linking, build_linking_haar
 from .numerics import complex_rank
@@ -132,7 +132,7 @@ class SuiteReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json_text(self.to_dict())
 
 
 def _require_samples(samples: int, name: str = "samples") -> None:
@@ -591,7 +591,7 @@ class AggregateReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json_text(self.to_dict())
 
 
 def verify_all(Z: Bispace | None, config: VerifyConfig | None = None) -> AggregateReport:

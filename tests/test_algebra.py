@@ -8,6 +8,7 @@ from groupoidal import (
     HaarSystem,
     Lcg,
     StructureBrokenError,
+    UnknownIdError,
     build_linking,
     build_linking_haar,
     convolve,
@@ -197,6 +198,31 @@ class TestInnerProducts:
         phi = AlgebraElement("Z", {"g0": 1.0, "g1": 2.0j})
         with pytest.raises(StructureBrokenError):
             rip(phi, phi, Z, lopsided)
+
+    def test_left_base_point_dependence_aborts(self, self2):
+        Z, _, _ = self2
+        lopsided = HaarSystem({"g0": 1.0, "g1": 2.0})
+        phi = AlgebraElement("Z", {"g0": 1.0, "g1": 2.0j})
+        with pytest.raises(StructureBrokenError, match="depends on the base point"):
+            lip(phi, phi, Z, lopsided)
+
+    @pytest.mark.parametrize(
+        "name, side",
+        [("left_action", "left"), ("right_action", "right"), ("rip", "left"), ("lip", "right")],
+    )
+    def test_missing_weight_names_the_haar_system(self, self2, name, side):
+        Z, _, _ = self2
+        partial = HaarSystem({"g0": 1.0})  # no weight for g1
+        ones = {k: 1.0 + 0j for k in ("g0", "g1")}
+        f, b, phi = AlgebraElement("G", ones), AlgebraElement("H", ones), AlgebraElement("Z", ones)
+        calls = {
+            "left_action": lambda: left_action(f, phi, Z, partial),
+            "right_action": lambda: right_action(phi, b, Z, partial),
+            "rip": lambda: rip(phi, phi, Z, partial),
+            "lip": lambda: lip(phi, phi, Z, partial),
+        }
+        with pytest.raises(UnknownIdError, match=f"'g1' is missing from the {side} Haar system"):
+            calls[name]()
 
     def test_imprimitivity_identity(self):
         Z = transitive_equivalence(2, 2)
