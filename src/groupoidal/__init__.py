@@ -35,6 +35,7 @@ from .errors import (
     CarrierMismatchError,
     FixtureFormatError,
     GroupoidalError,
+    NonFiniteError,
     StructureBrokenError,
     UnknownIdError,
 )
@@ -69,6 +70,8 @@ from .representations import (
     r_mu_rep,
     reduced_kernel_dimension,
     reduced_norm,
+    reduced_norms,
+    unit_stacks,
 )
 from .verify import (
     DEFAULT_SEED,

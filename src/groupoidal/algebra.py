@@ -40,6 +40,7 @@ from a table raises ``UnknownIdError``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -98,8 +99,12 @@ class AlgebraElement:
         return (-1.0) * self
 
     def distance(self, other: "AlgebraElement") -> float:
+        """Largest gap over the keys; a NaN gap, which ``max`` would drop, gives ``inf``."""
         keys = set(self.values) | set(other.values)
-        return max((abs(self.get(k) - other.get(k)) for k in keys), default=0.0)
+        gaps = [abs(self.get(k) - other.get(k)) for k in keys]
+        if any(gap != gap for gap in gaps):
+            return math.inf
+        return max(gaps, default=0.0)
 
     def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
         return self.carrier == other.carrier and self.distance(other) <= tol
@@ -288,6 +293,8 @@ def blockwise_residual(
     residual = 0.0
     for lid in set(blockwise.values) | set(direct.values):
         gap = abs(blockwise.get(lid) - direct.get(lid))
+        if gap != gap:  # NaN: no comparison would see it
+            gap = math.inf
         if gap > residual:
             residual, worst = gap, lid
     return blockwise, residual, worst

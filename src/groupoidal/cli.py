@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import GroupoidalError, StructureBrokenError, UnknownIdError
+from .errors import GroupoidalError, StructureBrokenError
 from .fileio import (
     dump_equivalence,
     dump_groupoid,
@@ -181,9 +181,6 @@ def _load_checked_groupoid(path: str):
 def _cmd_norm(args) -> int:
     groupoid, haar = _load_checked_groupoid(args.groupoid)
     element = load_element(args.element)
-    unknown = sorted(key for key in element.values if not groupoid.has_arrow(key))
-    if unknown:
-        raise UnknownIdError(f"element has values on unknown arrow ids {unknown!r}")
     if args.unit is not None:
         value = operator_norm(ind_delta(groupoid, haar, args.unit, element))
         _emit({"unit": args.unit, "norm": value}, args.human)

@@ -19,6 +19,7 @@ operation aborts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -588,6 +589,8 @@ def rho_mu_measure(X: GSpace, mu: Mapping[str, float], haar: HaarSystem) -> Fibe
     for key, value in mu.items():
         if key not in rep_of:
             raise UnknownIdError(f"orbit key {key!r} is not a point of the space")
+        if not math.isfinite(value):
+            raise ValueError(f"orbit mass for {key!r} is not finite: {value!r}")
         if value < 0:
             raise ValueError(f"orbit mass for {key!r} is negative: {value!r}")
         masses[rep_of[key]] = masses.get(rep_of[key], 0.0) + float(value)

@@ -28,5 +28,15 @@ class StructureBrokenError(GroupoidalError):
     """
 
 
+class NonFiniteError(GroupoidalError, ValueError):
+    """A number left the finite floats.
+
+    Raised for a matrix with non-finite entries before it reaches LAPACK,
+    and in place of Python's ``OverflowError`` when a suite's float sums
+    overflow, so huge Haar weights or values end in a named error rather
+    than a traceback.
+    """
+
+
 class FixtureFormatError(GroupoidalError):
     """A fixture file or inline fixture object is malformed."""

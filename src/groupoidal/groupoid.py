@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "Arrow",
+    "FiberTable",
     "FiniteGroupoid",
     "HaarSystem",
     "Violation",
@@ -54,6 +55,19 @@ class Arrow:
     dst: str
 
 
+class FiberTable(NamedTuple):
+    """One unit's source fiber, compiled to arrow positions.
+
+    Positions index ``FiniteGroupoid.arrows`` (canonical order): the
+    inverse of each ``beta`` of the fiber, and ``gamma inverse(beta)`` as
+    one row per ``gamma``, one column per ``beta``.
+    """
+
+    fiber: tuple[str, ...]
+    inverses: np.ndarray  # intp, shape (k,)
+    products: np.ndarray  # intp, shape (k, k)
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteGroupoid:
     units: tuple[str, ...]
@@ -66,8 +80,10 @@ class FiniteGroupoid:
         object.__setattr__(self, "units", tuple(sorted(self.units)))
         object.__setattr__(self, "arrows", tuple(sorted(self.arrows, key=lambda a: a.id)))
         by_id: dict[str, Arrow] = {}
-        for a in self.arrows:
+        positions: dict[str, int] = {}
+        for i, a in enumerate(self.arrows):
             by_id.setdefault(a.id, a)
+            positions.setdefault(a.id, i)
         r_fibers: dict[str, list[str]] = {u: [] for u in self.units}
         s_fibers: dict[str, list[str]] = {u: [] for u in self.units}
         for a in self.arrows:
@@ -76,6 +92,7 @@ class FiniteGroupoid:
             if a.src in s_fibers:
                 s_fibers[a.src].append(a.id)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_positions", positions)
         object.__setattr__(self, "_r_fibers", {u: tuple(v) for u, v in r_fibers.items()})
         object.__setattr__(self, "_s_fibers", {u: tuple(v) for u, v in s_fibers.items()})
         object.__setattr__(self, "_fiber_products", {})
@@ -122,7 +139,7 @@ class FiniteGroupoid:
     def composable(self, a: str, b: str) -> bool:
         return self.s(a) == self.r(b)
 
-    @property
+    @cached_property
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
 
@@ -139,22 +156,32 @@ class FiniteGroupoid:
             rows[aid] = tuple((b, self.mul(aid, b)) for b in r_fiber(self, a.src))
         return rows
 
-    def fiber_products(
-        self, u: str
-    ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[tuple[str, ...], ...]]:
-        """The source fiber of ``u``, the inverses of its arrows, and ``gamma inverse(beta)``.
+    def fiber_products(self, u: str) -> FiberTable:
+        """The source fiber of ``u`` with its inverse and product positions.
 
-        The products come as one row per ``gamma`` of the fiber, one entry
-        per ``beta``.  Each unit's table is built on its first use and
-        cached; units never asked for are never built.
+        Each unit's table is built on its first use and cached; units
+        never asked for are never built.  A product or inverse missing
+        from the tables, or naming an unknown arrow, raises
+        ``UnknownIdError``.
         """
         table = self._fiber_products.get(u)
         if table is None:
             fiber = tuple(s_fiber(self, u))
-            inverses = tuple(self.inv(b) for b in fiber)
-            products = tuple(tuple(self.mul(g, ib) for ib in inverses) for g in fiber)
-            table = self._fiber_products[u] = (fiber, inverses, products)
+            inverses = [self.inv(b) for b in fiber]
+            products = [self.mul(g, ib) for g in fiber for ib in inverses]
+            k = len(fiber)
+            table = self._fiber_products[u] = FiberTable(
+                fiber,
+                self._positions_of(inverses).reshape(k),
+                self._positions_of(products).reshape(k, k),
+            )
         return table
+
+    def _positions_of(self, ids: list[str]) -> np.ndarray:
+        try:
+            return np.array([self._positions[a] for a in ids], dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownIdError(f"the tables name unknown arrow {exc.args[0]!r}") from None
 
     @cached_property
     def orbit_transport(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:

@@ -15,20 +15,32 @@ equivalent representations, so one unit per orbit reaches it whenever
 the Haar system allows.  Atomic measures on the unit space induce
 block-diagonal direct sums; free actions on finite spaces induce the
 same matrices transported along orbits.
+
+Matrices are assembled in stacks.  ``FiniteGroupoid.fiber_products(u)``
+compiles each unit's ``gamma inverse(beta)`` table once into an array
+of arrow positions; ``unit_stacks`` lays the values of a list of
+elements out in arrow order and gathers the matrices of all of them at
+a unit in one step, ``(n, k, k)``.  ``reduced_norms`` then takes one
+batched SVD per unit, and ``ind_delta`` and ``reduced_norm`` are the
+one-element case of the same path.  The suites in ``verify`` stack
+blocks of up to 128 samples.  Haar weights are read from the
+``HaarSystem`` on every call, so a weight changed in place shows in the
+next result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, rip
 from .equivalence import Bispace, GSpace, rho_mu_measure
 from .errors import StructureBrokenError, UnknownIdError
-from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, i_norm
-from .numerics import hermitian_eigenvalues, spectral_norm
+from .groupoid import FiberTable, FiniteGroupoid, HaarSystem, ValidationReport, i_norm
+from .numerics import hermitian_eigenvalues, spectral_norm, spectral_norms
 
 __all__ = [
     "RepMatrix",
@@ -36,6 +48,8 @@ __all__ = [
     "operator_norm",
     "norm_units",
     "reduced_norm",
+    "reduced_norms",
+    "unit_stacks",
     "ind_mu",
     "r_mu_rep",
     "reduced_kernel_dimension",
@@ -61,31 +75,77 @@ class RepMatrix:
             )
 
 
+def _weight_vector(groupoid: FiniteGroupoid, haar: HaarSystem) -> np.ndarray:
+    """The current Haar weights in canonical arrow order."""
+    weights = haar.weights
+    try:
+        return np.array([weights[a] for a in groupoid.arrow_ids], dtype=float)
+    except KeyError as exc:
+        raise UnknownIdError(f"no Haar weight for arrow {exc.args[0]!r}") from None
+
+
+def _value_matrix(groupoid: FiniteGroupoid, elements: Sequence[AlgebraElement]) -> np.ndarray:
+    """One row of values per element, in canonical arrow order (absent = 0)."""
+    known = groupoid._positions.keys()
+    ids = groupoid.arrow_ids
+    rows = []
+    for f in elements:
+        values = f.values
+        if not values.keys() <= known:
+            unknown = sorted(values.keys() - known)
+            raise UnknownIdError(f"element has values on unknown arrow ids {unknown!r}")
+        rows.append([values.get(a, 0j) for a in ids])
+    return np.array(rows, dtype=np.complex128).reshape(len(elements), len(ids))
+
+
+def _unit_stack(
+    table: FiberTable, weights: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Source masses of one unit, and the matrices of all value rows over its fiber.
+
+    One gather assembles ``v(a) * w(a) * (root_i / root_j)`` with ``a``
+    the product ``gamma_i inverse(beta_j)``, evaluated left to right as
+    the scalar formula is; a zero value gives ``0j`` whatever the sign
+    of its zeros.
+    """
+    masses = weights[table.inverses]
+    roots = np.sqrt(masses)
+    gathered = values[:, table.products]
+    with np.errstate(all="ignore"):  # non-finite entries are rejected where matrices are used
+        stack = gathered * weights[table.products] * (roots[:, None] / roots[None, :])
+    stack[gathered == 0] = 0j
+    return masses, stack
+
+
+def unit_stacks(
+    groupoid: FiniteGroupoid,
+    haar: HaarSystem,
+    units: Sequence[str],
+    elements: Sequence[AlgebraElement],
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per unit of ``units``, in order: its source masses, and the ``ind_delta``
+    matrices of every element as one ``(n, k, k)`` stack.
+
+    The values are laid out and the Haar weights read once per call.
+    Values on ids the groupoid lacks raise ``UnknownIdError``.
+    """
+    values = _value_matrix(groupoid, elements)
+    weights = _weight_vector(groupoid, haar)
+    for u in units:
+        yield _unit_stack(groupoid.fiber_products(u), weights, values)
+
+
 def ind_delta(
     groupoid: FiniteGroupoid, haar: HaarSystem, u: str, f: AlgebraElement
 ) -> RepMatrix:
     """Matrix of convolution by ``f`` on the weighted space over the source fiber of ``u``.
 
-    The products ``gamma inverse(beta)`` come from ``groupoid.fiber_products(u)``,
-    built on the first use of ``u``; the Haar weights are read on every call.
+    The one-element case of ``unit_stacks``: the product positions come
+    from ``groupoid.fiber_products(u)``, built on the first use of ``u``;
+    the Haar weights are read on every call.
     """
-    fiber, inverses, products = groupoid.fiber_products(u)
-    weights = haar.weights
-    values = f.values
-    try:
-        masses = np.array([weights[ib] for ib in inverses], dtype=float)
-        roots = np.sqrt(masses).tolist()
-        rows = []
-        for root, row in zip(roots, products):
-            entries = []
-            for a, other in zip(row, roots):
-                v = values.get(a)
-                entries.append(v * weights[a] * (root / other) if v else 0j)
-            rows.append(entries)
-    except KeyError as exc:
-        raise UnknownIdError(f"no Haar weight for arrow {exc.args[0]!r}") from None
-    k = len(fiber)
-    return RepMatrix(fiber, np.array(rows, dtype=np.complex128).reshape(k, k), masses)
+    masses, stack = next(unit_stacks(groupoid, haar, (u,), (f,)))
+    return RepMatrix(groupoid.fiber_products(u).fiber, stack[0], masses)
 
 
 def operator_norm(matrix: RepMatrix) -> float:
@@ -102,8 +162,10 @@ def norm_units(groupoid: FiniteGroupoid, haar: HaarSystem) -> tuple[str, ...]:
     return groupoid.units
 
 
-def reduced_norm(f: AlgebraElement, groupoid: FiniteGroupoid, haar: HaarSystem) -> float:
-    """Supremum over units of the per-unit representation norms.
+def reduced_norms(
+    elements: Sequence[AlgebraElement], groupoid: FiniteGroupoid, haar: HaarSystem
+) -> list[float]:
+    """``reduced_norm`` of every element, one stack and one batched SVD per unit.
 
     Only one unit per orbit is solved when the Haar masses allow it.  For
     a transport arrow ``x: v -> u`` (``FiniteGroupoid.orbit_transport``),
@@ -114,12 +176,18 @@ def reduced_norm(f: AlgebraElement, groupoid: FiniteGroupoid, haar: HaarSystem) 
     checked with exact float equality on every call, since a
     ``HaarSystem`` may be changed in place; if any pair differs, every
     unit is solved.  Like the matrices themselves, the shortcut trusts the
-    tables to form a groupoid.
+    tables to form a groupoid.  Values on ids the groupoid lacks raise
+    ``UnknownIdError``.
     """
-    return max(
-        (spectral_norm(ind_delta(groupoid, haar, u, f).entries) for u in norm_units(groupoid, haar)),
-        default=0.0,
-    )
+    best = np.zeros(len(elements))
+    for _, stack in unit_stacks(groupoid, haar, norm_units(groupoid, haar), elements):
+        best = np.maximum(best, spectral_norms(stack))
+    return best.tolist()
+
+
+def reduced_norm(f: AlgebraElement, groupoid: FiniteGroupoid, haar: HaarSystem) -> float:
+    """Supremum over units of the per-unit representation norms (see ``reduced_norms``)."""
+    return reduced_norms((f,), groupoid, haar)[0]
 
 
 def _check_atomic(mu: Mapping[str, float], known, kind: str) -> list[str]:
@@ -127,6 +195,8 @@ def _check_atomic(mu: Mapping[str, float], known, kind: str) -> list[str]:
     for key in sorted(mu):
         if not known(key):
             raise UnknownIdError(f"measure atom on unknown {kind} {key!r}")
+        if not math.isfinite(mu[key]):
+            raise ValueError(f"measure mass for {kind} {key!r} is not finite: {mu[key]!r}")
         if mu[key] < 0:
             raise ValueError(f"measure mass for {kind} {key!r} is negative: {mu[key]!r}")
         if mu[key] > 0:
@@ -194,17 +264,16 @@ def reduced_kernel_dimension(groupoid: FiniteGroupoid, haar: HaarSystem) -> int:
     from the function space on the arrows.  Its row ``(u, gamma, beta)``
     has a single entry, in the column of ``gamma inverse(beta)``, so its
     rank is the number of columns hit by a nonzero entry: an exact count,
-    with no pivot tolerance.
+    with no pivot tolerance.  That entry is the ``(gamma, beta)`` entry of
+    the all-ones function's matrix at ``u``.
     """
-    hit: set[str] = set()
+    weights = _weight_vector(groupoid, haar)
+    ones = np.ones((1, len(weights)), dtype=np.complex128)
+    hit = np.zeros(len(weights), dtype=bool)
     for u in groupoid.units:
-        _, inverses, products = groupoid.fiber_products(u)
-        roots = np.sqrt([haar.weight(ib) for ib in inverses])
-        for i, row in enumerate(products):
-            for j, a in enumerate(row):
-                if haar.weight(a) * (roots[i] / roots[j]) != 0:
-                    hit.add(a)
-    return len(groupoid.arrows) - len(hit)
+        table = groupoid.fiber_products(u)
+        hit[table.products[_unit_stack(table, weights, ones)[1][0] != 0]] = True
+    return len(groupoid.arrows) - int(hit.sum())
 
 
 def check_i_norm_bound(
@@ -254,12 +323,11 @@ def gram_min_eigenvalue(
     n = len(phis)
     if n == 0:
         return 0.0
-    grams = [[inner(phis[i], phis[j], Z, w_left) for j in range(n)] for i in range(n)]
+    grams = [inner(phis[i], phis[j], Z, w_left) for i in range(n) for j in range(n)]
     smallest = np.inf
-    for v in norm_units(H, w_right):
-        block = np.block(
-            [[ind_delta(H, w_right, v, grams[i][j]).entries for j in range(n)] for i in range(n)]
-        )
+    for _, stack in unit_stacks(H, w_right, norm_units(H, w_right), grams):
+        k = stack.shape[-1]
+        block = stack.reshape(n, n, k, k).transpose(0, 2, 1, 3).reshape(n * k, n * k)
         smallest = min(smallest, float(hermitian_eigenvalues(block)[0]))
     return float(smallest)
 

@@ -3,16 +3,22 @@
 Every suite samples functions with independent real and imaginary parts
 uniform in [-1, 1] per arrow, driven by a fixed 32-bit linear
 congruential generator, so a report is reproducible from its recorded
-seed alone.  Residuals are normalized relative to ``max(1, reference)``
-to avoid blowup near zero.  Structural (exact) checks always run before
+seed alone.  Samples are drawn in blocks of up to ``BLOCK``, and each
+per-unit matrix family of a block is assembled and solved as one stack;
+residuals are recorded in sample order, so a report does not depend on
+the block size.  Residuals are normalized relative to ``max(1, reference)``
+to avoid blowup near zero, and a NaN residual counts as infinite.  Structural (exact) checks always run before
 numeric (tolerance) checks; a structural failure suppresses the numeric
 suites entirely, since their residuals would only be noise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .algebra import (
     AlgebraElement,
@@ -26,19 +32,20 @@ from .algebra import (
     rip,
 )
 from .equivalence import Bispace, validate_equivalence
-from .errors import GroupoidalError, StructureBrokenError
+from .errors import GroupoidalError, NonFiniteError, StructureBrokenError
 from .fileio import json_text
 from .groupoid import HaarSystem, ValidationReport, validate_groupoid, validate_haar
 from .linking import LinkingGroupoid, block_compose, build_linking, build_linking_haar
 from .numerics import complex_rank
 from .representations import (
     gram_min_eigenvalue,
-    ind_delta,
     intertwining_residual,
     r_mu_rep,
     reduced_kernel_dimension,
     reduced_norm,
+    reduced_norms,
     spectral_norm,
+    unit_stacks,
 )
 
 __all__ = [
@@ -61,6 +68,10 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
+
+# samples per stack: the suites solve each norm family of a block of
+# samples in one batched call, and the block bounds a stack's memory
+BLOCK = 128
 
 AMENABILITY_NOTE = (
     "finite groupoids are amenable, so the universal and reduced norms coincide; "
@@ -109,6 +120,8 @@ class SuiteReport:
     notes: list[str] = field(default_factory=list)
 
     def record(self, residual: float, witness: dict) -> None:
+        if residual != residual:  # NaN: no comparison below would see it
+            residual = math.inf
         if residual > self.max_residual:
             self.max_residual = residual
             if residual > self.tol:
@@ -133,6 +146,11 @@ class SuiteReport:
 
     def to_json(self) -> str:
         return json_text(self.to_dict())
+
+
+def _blocks(samples: int) -> Iterator[range]:
+    """The sample indices in consecutive blocks of at most ``BLOCK``."""
+    return (range(start, min(samples, start + BLOCK)) for start in range(0, samples, BLOCK))
 
 
 def _require_samples(samples: int, name: str = "samples") -> None:
@@ -179,37 +197,46 @@ def verify_theorem_main1(
     )
     L = link.groupoid
     rng = Lcg(seed)
-    for index in range(samples):
-        f = random_element(Z.labels[0], G.arrow_ids, rng)
-        F = block_compose(link, f, _zero(link, 1), _zero(link, 2), _zero(link, 3))
-        norm_g = reduced_norm(f, G, w_left)
-        norm_l = reduced_norm(F, L, kappa)
-        report.record(
-            abs(norm_l - norm_g) / max(1.0, norm_g),
-            {"sample": index, "side": "left", "norm_corner": norm_l, "norm_alone": norm_g},
+    zeros = [_zero(link, which) for which in range(4)]
+    for indices in _blocks(samples):
+        fs, Fs, bs, Bs, rips, lips = [], [], [], [], [], []
+        for _ in indices:
+            f = random_element(Z.labels[0], G.arrow_ids, rng)
+            b = random_element(Z.labels[1], H.arrow_ids, rng)
+            phi = random_element(Z.labels[2], Z.points, rng)
+            fs.append(f)
+            Fs.append(block_compose(link, f, zeros[1], zeros[2], zeros[3]))
+            bs.append(b)
+            Bs.append(block_compose(link, zeros[0], zeros[1], zeros[2], b))
+            rips.append(rip(phi, phi, Z, w_left))
+            lips.append(lip(phi, phi, Z, w_right))
+        norms = zip(
+            indices,
+            reduced_norms(fs, G, w_left),
+            reduced_norms(Fs, L, kappa),
+            reduced_norms(bs, H, w_right),
+            reduced_norms(Bs, L, kappa),
+            reduced_norms(rips, H, w_right),
+            reduced_norms(lips, G, w_left),
         )
-
-        b = random_element(Z.labels[1], H.arrow_ids, rng)
-        B = block_compose(link, _zero(link, 0), _zero(link, 1), _zero(link, 2), b)
-        norm_h = reduced_norm(b, H, w_right)
-        norm_l = reduced_norm(B, L, kappa)
-        report.record(
-            abs(norm_l - norm_h) / max(1.0, norm_h),
-            {"sample": index, "side": "right", "norm_corner": norm_l, "norm_alone": norm_h},
-        )
-
-        phi = random_element(Z.labels[2], Z.points, rng)
-        norm_right = reduced_norm(rip(phi, phi, Z, w_left), H, w_right)
-        norm_left = reduced_norm(lip(phi, phi, Z, w_right), G, w_left)
-        report.record(
-            abs(norm_right - norm_left) / max(1.0, norm_left),
-            {
-                "sample": index,
-                "side": "module",
-                "norm_right_inner": norm_right,
-                "norm_left_inner": norm_left,
-            },
-        )
+        for index, norm_g, norm_lf, norm_h, norm_lb, norm_right, norm_left in norms:
+            report.record(
+                abs(norm_lf - norm_g) / max(1.0, norm_g),
+                {"sample": index, "side": "left", "norm_corner": norm_lf, "norm_alone": norm_g},
+            )
+            report.record(
+                abs(norm_lb - norm_h) / max(1.0, norm_h),
+                {"sample": index, "side": "right", "norm_corner": norm_lb, "norm_alone": norm_h},
+            )
+            report.record(
+                abs(norm_right - norm_left) / max(1.0, norm_left),
+                {
+                    "sample": index,
+                    "side": "module",
+                    "norm_right_inner": norm_right,
+                    "norm_left_inner": norm_left,
+                },
+            )
     return report
 
 
@@ -317,8 +344,6 @@ def verify_full_projections(
     generators than the carrier dimension is reported as undersampled,
     not failed.
     """
-    import numpy as np
-
     from .equivalence import opposite_space
 
     G, H = Z.left_groupoid, Z.right_groupoid
@@ -444,38 +469,43 @@ def verify_representation_laws(
     X = Z.left_space
     rng = Lcg(seed)
     full_mu = {orbit[0]: 1.0 for orbit in X.orbits()}
-    for index in range(samples):
-        f = random_element(Z.labels[0], G.arrow_ids, rng)
-        g = random_element(Z.labels[0], G.arrow_ids, rng)
-        fg = convolve(f, g, G, w_left)
-        fstar = involution(f, G)
-        for u in G.units:
-            mf = ind_delta(G, w_left, u, f)
-            mg = ind_delta(G, w_left, u, g)
-            mfg = ind_delta(G, w_left, u, fg)
-            hom = float(abs(mfg.entries - mf.entries @ mg.entries).max() or 0.0)
-            report.record(hom, {"sample": index, "law": "multiplicative", "unit": u})
-            mstar = ind_delta(G, w_left, u, fstar)
-            adj = float(abs(mstar.entries - mf.entries.conj().T).max() or 0.0)
-            report.record(adj, {"sample": index, "law": "star", "unit": u})
-        x0 = Z.points[0]
-        report.record(
-            intertwining_residual(X, w_left, x0, f),
-            {"sample": index, "law": "orbit-transport", "point": x0},
-        )
-        norm_reduced = reduced_norm(f, G, w_left)
-        norm_orbit = spectral_norm(r_mu_rep(X, w_left, full_mu, f).entries)
-        if norm_orbit > norm_reduced + norm_slack:
+    for indices in _blocks(samples):
+        fs, gs = [], []
+        for _ in indices:
+            fs.append(random_element(Z.labels[0], G.arrow_ids, rng))
+            gs.append(random_element(Z.labels[0], G.arrow_ids, rng))
+        products = [convolve(f, g, G, w_left) for f, g in zip(fs, gs)]
+        stars = [involution(f, G) for f in fs]
+        laws = []  # per unit: the multiplicative and the star residual of each sample
+        for _, stack in unit_stacks(G, w_left, G.units, fs + gs + products + stars):
+            mf, mg, mfg, mstar = stack.reshape(4, len(fs), *stack.shape[1:])
+            # an overflow gives a non-finite residual, and that fails the suite
+            with np.errstate(all="ignore"):
+                hom = np.abs(mfg - mf @ mg).max(axis=(1, 2))
+                adj = np.abs(mstar - mf.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+            laws.append((hom.tolist(), adj.tolist()))
+        for i, (index, f) in enumerate(zip(indices, fs)):
+            for u, (hom, adj) in zip(G.units, laws):
+                report.record(hom[i], {"sample": index, "law": "multiplicative", "unit": u})
+                report.record(adj[i], {"sample": index, "law": "star", "unit": u})
+            x0 = Z.points[0]
             report.record(
-                abs(norm_orbit - norm_reduced),
-                {"sample": index, "law": "orbit-dominated", "orbit": norm_orbit},
+                intertwining_residual(X, w_left, x0, f),
+                {"sample": index, "law": "orbit-transport", "point": x0},
             )
-        bound = i_norm(f, G, w_left)
-        if norm_reduced > bound + 1e-10:
-            report.record(
-                abs(norm_reduced - bound),
-                {"sample": index, "law": "i-norm-bound", "i_norm": bound},
-            )
+            norm_reduced = reduced_norm(f, G, w_left)
+            norm_orbit = spectral_norm(r_mu_rep(X, w_left, full_mu, f).entries)
+            if norm_orbit > norm_reduced + norm_slack:
+                report.record(
+                    abs(norm_orbit - norm_reduced),
+                    {"sample": index, "law": "orbit-dominated", "orbit": norm_orbit},
+                )
+            bound = i_norm(f, G, w_left)
+            if norm_reduced > bound + 1e-10:
+                report.record(
+                    abs(norm_reduced - bound),
+                    {"sample": index, "law": "i-norm-bound", "i_norm": bound},
+                )
     return report
 
 
@@ -550,13 +580,23 @@ SUITES: dict[str, Suite] = {
 }
 
 
+def _run(name: str, *args) -> SuiteReport:
+    """Run a registered suite; a float overflow ends in ``NonFiniteError``."""
+    try:
+        return SUITES[name].run(*args)
+    except OverflowError as exc:
+        raise NonFiniteError(
+            f"suite {name!r} overflowed float arithmetic ({exc}); the Haar weights or values are too large"
+        ) from None
+
+
 def run_suite(
     name: str, Z: Bispace, w_left: HaarSystem, w_right: HaarSystem, samples: int, tol: float, seed: int
 ) -> SuiteReport:
     """One registered suite behind the whole gate, which raises on broken input."""
     _require_samples(samples)
     link, kappa = structural_gate(Z, w_left, w_right, [])
-    return SUITES[name].run(Z, w_left, w_right, samples, tol, seed, link, kappa)
+    return _run(name, Z, w_left, w_right, samples, tol, seed, link, kappa)
 
 
 # --- aggregation ------------------------------------------------------------
@@ -616,8 +656,8 @@ def verify_all(Z: Bispace | None, config: VerifyConfig | None = None) -> Aggrega
         aggregate.error = str(exc)
         return aggregate
     aggregate.suites = [
-        suite.run(Z, w_left, w_right, suite.budget(config.samples), config.tol, config.seed, link, kappa)
-        for suite in SUITES.values()
+        _run(name, Z, w_left, w_right, suite.budget(config.samples), config.tol, config.seed, link, kappa)
+        for name, suite in SUITES.items()
     ]
     if any(s.status != "pass" for s in aggregate.suites):
         aggregate.status = "fail"

@@ -10,7 +10,9 @@ actions, inner products, per-unit matrices) are the plain loops over
 the raw tables, summing the same terms in the same order as the
 library, so the library's results must equal theirs exactly.  The
 structural validators are the exhaustive table scans, which must give
-the library's validation reports exactly.
+the library's validation reports exactly.  The theorem-main1 oracle is
+the suite as it ran one sample at a time, one reduced norm per call;
+the blocked suite must give its report exactly.
 """
 
 from __future__ import annotations
@@ -597,3 +599,55 @@ def validate_equivalence(Z: Bispace) -> ValidationReport:
                 rep.add("orbit-bijection", f"{name}: unit {u!r} not hit by any orbit", u)
     return rep
 
+
+
+# --- theorem-main1, one sample at a time ----------------------------------------
+
+
+def theorem_main1(Z, w_left, w_right, samples: int, tol: float, seed: int, link, kappa):
+    """``verify_theorem_main1`` before it stacked its samples: per sample, draw
+    ``f``, ``b`` and ``phi`` and take the six reduced norms one call each."""
+    from groupoidal.algebra import AlgebraElement, lip, rip
+    from groupoidal.linking import block_compose
+    from groupoidal.representations import reduced_norm
+    from groupoidal.verify import Lcg, SuiteReport, random_element
+
+    def zero(which: int) -> AlgebraElement:
+        labels = (link.bispace.labels[0], link.bispace.labels[2], link.opposite.labels[2], link.bispace.labels[1])
+        return AlgebraElement.zero(labels[which])
+
+    report = SuiteReport("theorem-main1", seed, samples, tol)
+    G, H, L = Z.left_groupoid, Z.right_groupoid, link.groupoid
+    rng = Lcg(seed)
+    for index in range(samples):
+        f = random_element(Z.labels[0], G.arrow_ids, rng)
+        F = block_compose(link, f, zero(1), zero(2), zero(3))
+        norm_g = reduced_norm(f, G, w_left)
+        norm_l = reduced_norm(F, L, kappa)
+        report.record(
+            abs(norm_l - norm_g) / max(1.0, norm_g),
+            {"sample": index, "side": "left", "norm_corner": norm_l, "norm_alone": norm_g},
+        )
+
+        b = random_element(Z.labels[1], H.arrow_ids, rng)
+        B = block_compose(link, zero(0), zero(1), zero(2), b)
+        norm_h = reduced_norm(b, H, w_right)
+        norm_l = reduced_norm(B, L, kappa)
+        report.record(
+            abs(norm_l - norm_h) / max(1.0, norm_h),
+            {"sample": index, "side": "right", "norm_corner": norm_l, "norm_alone": norm_h},
+        )
+
+        phi = random_element(Z.labels[2], Z.points, rng)
+        norm_right = reduced_norm(rip(phi, phi, Z, w_left), H, w_right)
+        norm_left = reduced_norm(lip(phi, phi, Z, w_right), G, w_left)
+        report.record(
+            abs(norm_right - norm_left) / max(1.0, norm_left),
+            {
+                "sample": index,
+                "side": "module",
+                "norm_right_inner": norm_right,
+                "norm_left_inner": norm_left,
+            },
+        )
+    return report

@@ -301,6 +301,15 @@ class TestBlockwiseConvolution:
                 _, residual, _ = blockwise_residual(F, K, link, wl, wr, kappa)
                 assert residual <= 1e-12
 
+    def test_nan_gap_counts_as_unbounded(self, pair_trivial2):
+        # max() drops a NaN, so a NaN gap must not read as a small residual
+        Z, wl, wr = pair_trivial2
+        link = build_linking(Z)
+        F = AlgebraElement("L", {"G:(1,1)": complex("nan"), "G:(1,2)": 1.0 + 0j})
+        _, residual, worst = blockwise_residual(F, F, link, wl, wr)
+        assert residual == float("inf") and worst is not None
+        assert F.distance(AlgebraElement("L", {"G:(1,2)": 1.0 + 0j})) == float("inf")
+
     def test_detects_tampered_direct_product(self, pair_trivial2):
         Z, wl, wr = pair_trivial2
         link = build_linking(Z)

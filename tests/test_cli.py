@@ -281,6 +281,33 @@ class TestBrokenFixtures:
             assert "structural stage" in err
 
 
+class TestHugeWeights:
+    """Finite weights whose products leave the floats end in a verdict or a named error."""
+
+    def write(self, tmp_path, weight):
+        Z = pair_trivialization(2)
+        wl = HaarSystem({a.id: weight for a in Z.left_groupoid.arrows})
+        path = tmp_path / "huge.json"
+        write_json(path, dump_equivalence(Z, wl, HaarSystem.counting(Z.right_groupoid)))
+        return path
+
+    def test_non_finite_residual_fails(self, capsys, tmp_path):
+        path = self.write(tmp_path, 1e300)
+        code, out, err = run(capsys, "check", "--equivalence", str(path), "--suite", "representation")
+        report = json.loads(out)
+        assert code == 1
+        assert report["status"] == "fail"
+        assert report["max_residual"] == float("inf")
+        assert err == ""
+
+    def test_overflow_exits_two_with_a_named_error(self, capsys, tmp_path):
+        path = self.write(tmp_path, 1.7e308)
+        code, out, err = run(capsys, "check", "--equivalence", str(path), "--all")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestModuleEntry:
     def test_python_dash_m_runs_the_command(self, tmp_path):
         g = cyclic_group(2)

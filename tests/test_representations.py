@@ -11,6 +11,7 @@ from groupoidal import (
     HaarSystem,
     Lcg,
     StructureBrokenError,
+    UnknownIdError,
     build_linking,
     build_linking_haar,
     check_i_norm_bound,
@@ -24,6 +25,7 @@ from groupoidal import (
     random_element,
     reduced_kernel_dimension,
     reduced_norm,
+    reduced_norms,
 )
 from groupoidal.fixtures import (
     cyclic_group,
@@ -149,6 +151,18 @@ class TestReducedNorm:
         g, w = pair2
         assert reduced_norm(AlgebraElement.zero("G"), g, w) == 0.0
 
+    def test_values_on_unknown_ids_raise(self, pair2):
+        g, w = pair2
+        f = AlgebraElement("G", {"(1,2)": 1.0 + 0j, "(1,7)": 2.0 + 0j})
+        calls = (
+            lambda: reduced_norm(f, g, w),
+            lambda: ind_delta(g, w, "1", f),
+            lambda: reduced_norms([D("G", "(1,2)"), f], g, w),
+        )
+        for call in calls:
+            with pytest.raises(UnknownIdError, match=r"\(1,7\)"):
+                call()
+
     def test_fourier_oracle_on_small_cyclic_groups(self):
         for n in (2, 3, 4):
             g = cyclic_group(n)
@@ -247,6 +261,12 @@ class TestIndMu:
         with pytest.raises(ValueError):
             ind_mu(g, w, {"1": -1.0}, AlgebraElement.zero("G"))
 
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+    def test_non_finite_mass_rejected(self, pair2, mass):
+        g, w = pair2
+        with pytest.raises(ValueError, match="unit '2' is not finite"):
+            ind_mu(g, w, {"1": 1.0, "2": mass}, D("G", "(1,2)"))
+
     def test_supremum_over_atomic_measures_attains_reduced_norm(self):
         g = transitive_groupoid_fixture()
         w = HaarSystem.counting(g)
@@ -301,6 +321,12 @@ class TestOrbitRepresentation:
         Z, wl, _ = pair_trivial2
         m = r_mu_rep(Z.left_space, wl, {"z1": 1.0}, AlgebraElement.zero("G"))
         assert np.allclose(m.entries, 0)
+
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+    def test_non_finite_orbit_mass_rejected(self, pair_trivial2, mass):
+        Z, wl, _ = pair_trivial2
+        with pytest.raises(ValueError, match="'z2' is not finite"):
+            r_mu_rep(Z.left_space, wl, {"z2": mass}, D("G", "(1,2)"))
 
     def test_non_free_action_rejected(self, cyclic2):
         g, w = cyclic2

@@ -20,7 +20,8 @@ from groupoidal import (
 )
 from groupoidal.fixtures import pair_trivialization, transitive_equivalence
 from groupoidal import groupoid, verify
-from groupoidal.verify import AMENABILITY_NOTE, verify_representation_laws
+from groupoidal.errors import NonFiniteError
+from groupoidal.verify import AMENABILITY_NOTE, SuiteReport, run_suite, verify_representation_laws
 
 
 def haars(Z):
@@ -228,3 +229,32 @@ class TestSampleCount:
         with pytest.raises(ValueError, match="at least 1"):
             run(Z, wl, wr, samples)
 
+
+
+class TestNonFiniteResiduals:
+    def test_nan_residual_fails_the_suite(self):
+        report = SuiteReport("s", 1, 2, 1e-9)
+        report.record(1e-12, {"sample": 0})
+        report.record(float("nan"), {"sample": 1})
+        report.record(1e-12, {"sample": 2})
+        assert report.status == "fail"
+        assert report.max_residual == float("inf")
+        assert report.witness == {"sample": 1}
+
+    def test_huge_weights_fail_representation_laws(self, pair_trivial2):
+        Z, _, wr = pair_trivial2
+        wl = HaarSystem({a.id: 1e300 for a in Z.left_groupoid.arrows})
+        report = verify_representation_laws(Z, wl, wr, samples=3)
+        assert report.status == "fail"
+        assert report.max_residual == float("inf")
+
+    def test_overflow_in_a_suite_is_a_named_error(self, pair_trivial2, monkeypatch):
+        def overflow(*args):
+            raise OverflowError("absolute value too large")
+
+        monkeypatch.setattr(verify, "verify_theorem_main1", overflow)
+        Z, wl, wr = pair_trivial2
+        with pytest.raises(NonFiniteError, match="'main1' overflowed"):
+            run_suite("main1", Z, wl, wr, 3, 1e-9, 1)
+        with pytest.raises(NonFiniteError):
+            verify_all(Z, VerifyConfig(samples=3, w_left=wl, w_right=wr))
