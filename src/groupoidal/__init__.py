@@ -20,14 +20,12 @@ from .algebra import (
 )
 from .equivalence import (
     Bispace,
-    FiberMeasure,
     GSpace,
     g_bracket,
     h_bracket,
     opposite_space,
     rho_measure,
     rho_mu_measure,
-    sigma_measure,
     validate_equivalence,
 )
 from .errors import (

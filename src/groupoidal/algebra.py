@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import CarrierMismatchError, StructureBrokenError, UnknownIdError
+from .errors import CarrierMismatchError, NonFiniteError, StructureBrokenError, UnknownIdError
 from .equivalence import Bispace, Rows, base_point, opposite_point
 from .groupoid import FiniteGroupoid, HaarSystem
 from .linking import LinkingGroupoid, block_compose, block_decompose, build_linking_haar
@@ -105,9 +105,6 @@ class AlgebraElement:
         if any(gap != gap for gap in gaps):
             return math.inf
         return max(gaps, default=0.0)
-
-    def allclose(self, other: "AlgebraElement", tol: float = 1e-12) -> bool:
-        return self.carrier == other.carrier and self.distance(other) <= tol
 
 
 def _expect(element: AlgebraElement, carrier: str, role: str) -> None:
@@ -170,7 +167,9 @@ def _row_sums(
     """``key -> sum of x(i) * y(j) * weight(w)`` over the terms ``(w, i, j)`` of each row.
 
     Every key has one row per base point; all of them must give the same
-    sum, otherwise the Haar system is broken and the call aborts.
+    sum, otherwise the Haar system is broken and the call aborts.  Sums
+    that cannot be compared because one is not finite, or whose
+    magnitude is past the float range, end in ``NonFiniteError``.
     """
     out: dict[str, complex] = {}
     try:
@@ -186,16 +185,28 @@ def _row_sums(
                             acc += a * b * weights[w]
                 if value is None:
                     value = acc
-                elif abs(acc - value) > 1e-12 * max(1.0, abs(value)):
-                    raise StructureBrokenError(
-                        f"inner product at {key_name} {key!r} depends on the base point "
-                        f"({value!r} vs {acc!r}); Haar invariance is broken"
-                    )
+                # NaN-safe; the bound is finite unless the first sum is not
+                elif not abs(acc - value) <= 1e-12 * max(1.0, abs(value)) < math.inf:
+                    if all(math.isfinite(x) for x in (acc.real, acc.imag, value.real, value.imag)):
+                        raise StructureBrokenError(
+                            f"inner product at {key_name} {key!r} depends on the base point "
+                            f"({value!r} vs {acc!r}); Haar invariance is broken"
+                        )
+                    raise _incomparable(key_name, key, value, acc)
             if value != 0:
                 out[key] = value
     except KeyError as exc:
         raise _missing(exc, haar_name) from None
+    except OverflowError:  # complex abs of a sum past the largest float
+        raise _incomparable(key_name, key, value, acc) from None
     return out
+
+
+def _incomparable(key_name: str, key: str, value: complex, acc: complex) -> NonFiniteError:
+    return NonFiniteError(
+        f"inner product at {key_name} {key!r} is not finite or too large to "
+        f"compare across base points ({value!r} vs {acc!r})"
+    )
 
 
 def _conjugate(values: Mapping[str, complex]) -> dict[str, complex]:

@@ -1,4 +1,4 @@
-"""Finite group(oid) spaces, equivalence bispaces, brackets, and fiber measures.
+"""Finite group(oid) spaces, equivalence bispaces, brackets, and orbit measures.
 
 A bispace carries a left action of one groupoid and a right action of
 another on the same finite point set, with anchor maps ``r_map`` (left)
@@ -7,14 +7,23 @@ list: exact definedness of both action tables, identities, associativity
 of actions, commutation, freeness, anchor surjectivity, and the two
 orbit bijections (left orbits against right units and vice versa).
 Properness is recorded as trivially true, every action of a finite
-discrete groupoid on a finite discrete space is proper.
+discrete groupoid on a finite discrete space is proper.  One validator
+serves both actions: the right action is read as a left action
+``(eta, z) -> z eta``, and a small per-side record says which anchor
+moves, which end of an arrow meets it and how products are written.
 
 Bracket maps invert the actions: ``g_bracket(Z, y, z)`` is the unique
 left arrow carrying ``z`` to ``y``, ``h_bracket(Z, y, z)`` the unique
-right arrow with ``y * eta == z``.  Fiber measures push the Haar masses
-onto orbits; they are recomputed from every representative in the fiber
-and must agree, otherwise the underlying Haar system is broken and the
-operation aborts.
+right arrow with ``y * eta == z``; both are one lookup in the arrows
+between two points of an action.
+
+``rho_measure`` pushes the Haar masses of a free left action onto an
+orbit.  It is the only such loop: sigma, the measure on the right
+orbits over a left unit that the linking Haar system puts on the point
+sector, is ``rho_measure`` of the opposite space's left action read
+back through the mirror ``~z <-> z``.  The measure is recomputed from
+every representative in the orbit and must agree, otherwise the
+underlying Haar system is broken and the operation aborts.
 """
 
 from __future__ import annotations
@@ -22,10 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import BracketNotFoundError, StructureBrokenError, UnknownIdError
-from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, r_fiber
+from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, r_fiber, s_fiber
 
 # key -> one row per base point; a row is a tuple of (weight id, x id, y id) terms
 Rows = dict[str, tuple[tuple[tuple[str, str, str], ...], ...]]
@@ -33,12 +42,10 @@ Rows = dict[str, tuple[tuple[tuple[str, str, str], ...], ...]]
 __all__ = [
     "GSpace",
     "Bispace",
-    "FiberMeasure",
     "validate_equivalence",
     "g_bracket",
     "h_bracket",
     "opposite_space",
-    "sigma_measure",
     "rho_measure",
     "rho_mu_measure",
 ]
@@ -253,13 +260,6 @@ class Bispace:
         return rows
 
 
-@dataclass(frozen=True)
-class FiberMeasure:
-    """Nonnegative point masses supported on a single orbit or anchor fiber."""
-
-    weights: dict[str, float]
-
-
 def _all_integral(values) -> bool:
     return all(float(v).is_integer() for v in values)
 
@@ -276,89 +276,109 @@ def _measures_agree(a: Mapping[str, float], b: Mapping[str, float]) -> bool:
 # --- validation ----------------------------------------------------------
 
 
-def _validate_action_side(rep: ValidationReport, Z: Bispace, side: str) -> None:
-    grpd = Z.left_groupoid if side == "left" else Z.right_groupoid
-    anchor = Z.r_map if side == "left" else Z.s_map
-    table = Z.left_action if side == "left" else Z.right_action
+class _Side(NamedTuple):
+    """One action of a bispace, read as a left action ``(arrow, point) -> point``.
+
+    An arrow acts on the points over its ``meets`` end and carries them
+    over its ``lands`` end.  A left action is written arrow first
+    (``gamma*z``), a right action point first (``z*eta``), in messages and
+    offender lists alike.
+    """
+
+    name: str
+    other: str
+    groupoid: FiniteGroupoid
+    anchor: Mapping[str, str]  # the anchor the action moves
+    kept: Mapping[str, str]  # the anchor the action preserves
+    acts: Mapping[tuple[str, str], str]
+    meets: str
+    lands: str
+    arrow_first: bool
+
+    def written(self, arrows: tuple[str, ...], z: str) -> tuple[str, ...]:
+        return (*arrows, z) if self.arrow_first else (z, *arrows)
+
+    def product(self, x: str, z: str) -> str:
+        return "*".join(self.written((x,), z))
+
+    def acting_order(self, a: str, b: str) -> tuple[str, str]:
+        """The factors of ``ab`` in the order they act on a point, the one next to it first."""
+        return (b, a) if self.arrow_first else (a, b)
+
+
+def _sides(Z: Bispace) -> tuple[_Side, _Side]:
+    return (
+        _Side("left", "right", Z.left_groupoid, Z.r_map, Z.s_map, Z.left_space.action, "s", "r", True),
+        _Side("right", "left", Z.right_groupoid, Z.s_map, Z.r_map, Z._right_space.action, "r", "s", False),
+    )
+
+
+_END_NAMES = {"r": "range", "s": "source"}
+_FIBERS = {"r": r_fiber, "s": s_fiber}
+
+
+def _validate_action_side(rep: ValidationReport, Z: Bispace, side: _Side) -> None:
+    grpd, anchor, acts = side.groupoid, side.anchor, side.acts
+    meets, lands = getattr(grpd, side.meets), getattr(grpd, side.lands)
     points = set(Z.points)
 
     for z in Z.points:
         u = anchor.get(z)
         if u is None:
-            rep.add("unknown-id", f"point {z!r} has no {side} anchor", z)
+            rep.add("unknown-id", f"point {z!r} has no {side.name} anchor", z)
         elif not grpd.has_unit(u):
-            rep.add("unknown-id", f"{side} anchor of {z!r} is unknown unit {u!r}", z, u)
+            rep.add("unknown-id", f"{side.name} anchor of {z!r} is unknown unit {u!r}", z, u)
 
-    for key, out in table.items():
-        gamma, z = key if side == "left" else (key[1], key[0])
+    for (gamma, z), out in acts.items():
         if not grpd.has_arrow(gamma) or z not in points or out not in points:
-            rep.add("unknown-id", f"{side} action entry {key!r} -> {out!r} references unknown ids", *key)
+            key = side.written((gamma,), z)
+            rep.add("unknown-id", f"{side.name} action entry {key!r} -> {out!r} references unknown ids", *key)
             continue
-        u = anchor.get(z)
-        matches = (grpd.s(gamma) == u) if side == "left" else (grpd.r(gamma) == u)
-        if not matches:
-            rep.add(
-                "action-definedness",
-                f"{side} action defined on non-matching pair {key!r}",
-                gamma,
-                z,
-            )
+        if meets(gamma) != anchor.get(z):
+            key = side.written((gamma,), z)
+            rep.add("action-definedness", f"{side.name} action defined on non-matching pair {key!r}", gamma, z)
         # the moving anchor follows the arrow, the other anchor is preserved
-        if side == "left":
-            if Z.r_map.get(out) != grpd.r(gamma):
-                rep.add("action-range", f"range anchor of {gamma!r}*{z!r} is not r({gamma!r})", gamma, z)
-            if Z.s_map.get(out) != Z.s_map.get(z):
-                rep.add("action-range", f"left action moved the right anchor of {z!r}", gamma, z)
-        else:
-            if Z.s_map.get(out) != grpd.s(gamma):
-                rep.add("action-range", f"source anchor of {z!r}*{gamma!r} is not s({gamma!r})", z, gamma)
-            if Z.r_map.get(out) != Z.r_map.get(z):
-                rep.add("action-range", f"right action moved the left anchor of {z!r}", z, gamma)
+        if anchor.get(out) != lands(gamma):
+            key, end = side.written((gamma,), z), _END_NAMES[side.lands]
+            product = side.product(repr(gamma), repr(z))
+            rep.add("action-range", f"{end} anchor of {product} is not {side.lands}({gamma!r})", *key)
+        if side.kept.get(out) != side.kept.get(z):
+            key = side.written((gamma,), z)
+            rep.add("action-range", f"{side.name} action moved the {side.other} anchor of {z!r}", *key)
 
     for z in Z.points:
         u = anchor.get(z)
         if u is None or not grpd.has_unit(u):
             continue
-        for gamma in (r_fiber(grpd, u) if side == "right" else ()):
-            if (z, gamma) not in table:
-                rep.add("action-definedness", f"right action missing for ({z!r}, {gamma!r})", z, gamma)
-        if side == "left":
-            for gamma in grpd._s_fibers.get(u, ()):
-                if (gamma, z) not in table:
-                    rep.add("action-definedness", f"left action missing for ({gamma!r}, {z!r})", gamma, z)
+        for gamma in _FIBERS[side.meets](grpd, u):
+            if (gamma, z) not in acts:
+                key = side.written((gamma,), z)
+                rep.add("action-definedness", f"{side.name} action missing for {key!r}", *key)
         # identity acts trivially
         uid = grpd.unit_arrow.get(u)
-        if uid is not None:
-            got = table.get((uid, z) if side == "left" else (z, uid))
-            if got != z:
-                rep.add("unit-acts-trivially", f"unit arrow of {u!r} moves point {z!r}", z)
+        if uid is not None and acts.get((uid, z)) != z:
+            rep.add("unit-acts-trivially", f"unit arrow of {u!r} moves point {z!r}", z)
 
     # compatibility with composition, visiting only the points each arrow acts on
-    acted_on = _points_by_arrow(Z.points, table if side == "left" else ((x, z) for z, x in table))
+    acted_on = _points_by_arrow(Z.points, acts)
     for (a, b), ab in grpd.compose.items():
         if not grpd.has_arrow(a) or not grpd.has_arrow(b) or not grpd.has_arrow(ab):
             continue
-        if side == "left":
-            for z in acted_on.get(b, ()):
-                inner = table.get((b, z))
-                if inner is None:
-                    continue
-                if table.get((a, inner)) != table.get((ab, z)):
-                    rep.add("action-compatibility", f"({a!r}{b!r})*{z!r} != {a!r}*({b!r}*{z!r})", a, b, z)
-        else:
-            for z in acted_on.get(a, ()):
-                inner = table.get((z, a))
-                if inner is None:
-                    continue
-                if table.get((inner, b)) != table.get((z, ab)):
-                    rep.add("action-compatibility", f"{z!r}*({a!r}{b!r}) != ({z!r}*{a!r})*{b!r}", z, a, b)
+        first, then = side.acting_order(a, b)
+        for z in acted_on.get(first, ()):
+            inner = acts.get((first, z))
+            if inner is None:
+                continue
+            if acts.get((then, inner)) != acts.get((ab, z)):
+                whole = side.product(f"({a!r}{b!r})", repr(z))
+                stepwise = side.product(repr(then), "(" + side.product(repr(first), repr(z)) + ")")
+                rep.add("action-compatibility", f"{whole} != {stepwise}", *side.written((a, b), z))
 
     # freeness: the table entries fixing each point, in table order
     fixing: dict[str, list[str]] = {}
-    for key, out in table.items():
-        gamma, zz = key if side == "left" else (key[1], key[0])
-        if zz == out:
-            fixing.setdefault(zz, []).append(gamma)
+    for (gamma, z), out in acts.items():
+        if z == out:
+            fixing.setdefault(z, []).append(gamma)
     for z in Z.points:
         u = anchor.get(z)
         if u is None:
@@ -372,7 +392,7 @@ def _validate_action_side(rep: ValidationReport, Z: Bispace, side: str) -> None:
     hit = {anchor.get(z) for z in Z.points}
     for u in grpd.units:
         if u not in hit:
-            rep.add("anchor-surjective", f"no point lies over {side} unit {u!r}", u)
+            rep.add("anchor-surjective", f"no point lies over {side.name} unit {u!r}", u)
 
 
 def _points_by_arrow(points: tuple[str, ...], keys) -> dict[str, list[str]]:
@@ -391,8 +411,8 @@ def validate_equivalence(Z: Bispace) -> ValidationReport:
     """Check the full equivalence axiom list; empty report iff Z is one."""
     rep = ValidationReport(subject="equivalence")
     rep.notes.append(PROPERNESS_NOTE)
-    _validate_action_side(rep, Z, "left")
-    _validate_action_side(rep, Z, "right")
+    for side in _sides(Z):
+        _validate_action_side(rep, Z, side)
 
     # the two actions commute; right rows are grouped by point, in table order
     right_rows: dict[str, list[tuple[str, str]]] = {}
@@ -429,36 +449,33 @@ def validate_equivalence(Z: Bispace) -> ValidationReport:
 # --- brackets ------------------------------------------------------------
 
 
-def g_bracket(Z: Bispace, y: str, z: str) -> str:
-    """The unique left arrow with ``gamma * z == y`` (requires ``s(y) == s(z)``)."""
-    if Z.s_of(y) != Z.s_of(z):
-        raise BracketNotFoundError(
-            f"points {y!r} and {z!r} lie over different right-anchor units"
-        )
-    matches = Z.left_space.arrows_between(z, y)
+def _bracket(
+    space: GSpace, name: str, other: str, anchor_of: Callable[[str], str], y: str, z: str, src: str, dst: str
+) -> str:
+    """The one arrow of the ``name`` action ``space`` carrying ``src`` to ``dst``.
+
+    ``y`` and ``z`` must lie over one unit of the ``other`` action's anchor.
+    """
+    if anchor_of(y) != anchor_of(z):
+        raise BracketNotFoundError(f"points {y!r} and {z!r} lie over different {other}-anchor units")
+    matches = space.arrows_between(src, dst)
     if not matches:
-        raise BracketNotFoundError(f"no left arrow carries {z!r} to {y!r}")
+        raise BracketNotFoundError(f"no {name} arrow carries {src!r} to {dst!r}")
     if len(matches) > 1:
         raise StructureBrokenError(
-            f"left action is not free: arrows {matches!r} all carry {z!r} to {y!r}"
+            f"{name} action is not free: arrows {matches!r} all carry {src!r} to {dst!r}"
         )
     return matches[0]
+
+
+def g_bracket(Z: Bispace, y: str, z: str) -> str:
+    """The unique left arrow with ``gamma * z == y`` (requires ``s(y) == s(z)``)."""
+    return _bracket(Z.left_space, "left", "right", Z.s_of, y, z, src=z, dst=y)
 
 
 def h_bracket(Z: Bispace, y: str, z: str) -> str:
     """The unique right arrow with ``y * eta == z`` (requires ``r(y) == r(z)``)."""
-    if Z.r_of(y) != Z.r_of(z):
-        raise BracketNotFoundError(
-            f"points {y!r} and {z!r} lie over different left-anchor units"
-        )
-    matches = Z._right_space.arrows_between(y, z)
-    if not matches:
-        raise BracketNotFoundError(f"no right arrow carries {y!r} to {z!r}")
-    if len(matches) > 1:
-        raise StructureBrokenError(
-            f"right action is not free: arrows {matches!r} all carry {y!r} to {z!r}"
-        )
-    return matches[0]
+    return _bracket(Z._right_space, "right", "left", Z.r_of, y, z, src=y, dst=z)
 
 
 # --- the opposite space ---------------------------------------------------
@@ -507,43 +524,10 @@ def opposite_space(Z: Bispace) -> Bispace:
     )
 
 
-# --- fiber measures -------------------------------------------------------
+# --- orbit measures -------------------------------------------------------
 
 
-def sigma_measure(Z: Bispace, u: str, right_haar: HaarSystem) -> FiberMeasure:
-    """Right-orbit measure over the left unit ``u``.
-
-    From any point ``z`` with ``r(z) == u``, push the right Haar masses
-    forward: ``sigma({z * eta}) == sum of w(eta)`` over the arrows
-    ``eta`` with ``r(eta) == s(z)`` landing on that point.  The result
-    must not depend on the chosen ``z``; every representative is checked
-    and a mismatch aborts, because it means the Haar system lost left
-    invariance somewhere.
-    """
-    fiber = Z.r_fiber_points(u)
-    if not fiber:
-        raise UnknownIdError(f"no point lies over left unit {u!r}")
-    H = Z.right_groupoid
-
-    def from_rep(z0: str) -> dict[str, float]:
-        acc: dict[str, float] = {}
-        for eta in r_fiber(H, Z.s_of(z0)):
-            pt = Z.right_act(z0, eta)
-            acc[pt] = acc.get(pt, 0.0) + right_haar.weight(eta)
-        return acc
-
-    reference = from_rep(fiber[0])
-    for z in fiber[1:]:
-        other = from_rep(z)
-        if not _measures_agree(reference, other):
-            raise StructureBrokenError(
-                f"orbit measure over {u!r} depends on the representative "
-                f"({fiber[0]!r} vs {z!r}); Haar invariance is broken"
-            )
-    return FiberMeasure(reference)
-
-
-def rho_measure(X: GSpace, x: str, haar: HaarSystem) -> FiberMeasure:
+def rho_measure(X: GSpace, x: str, haar: HaarSystem) -> dict[str, float]:
     """Orbit measure on a free left space, pushed from the range fiber over ``r(x)``.
 
     ``rho({gamma^{-1} * x}) == sum of w(gamma)`` over arrows with range
@@ -571,10 +555,10 @@ def rho_measure(X: GSpace, x: str, haar: HaarSystem) -> FiberMeasure:
                 f"orbit measure of {x!r} depends on the representative "
                 f"({x!r} vs {y!r}); Haar invariance is broken"
             )
-    return FiberMeasure(reference)
+    return reference
 
 
-def rho_mu_measure(X: GSpace, mu: Mapping[str, float], haar: HaarSystem) -> FiberMeasure:
+def rho_mu_measure(X: GSpace, mu: Mapping[str, float], haar: HaarSystem) -> dict[str, float]:
     """Mix the orbit measures with nonnegative orbit masses ``mu``.
 
     Keys of ``mu`` may be any orbit representative; they are merged by
@@ -598,7 +582,6 @@ def rho_mu_measure(X: GSpace, mu: Mapping[str, float], haar: HaarSystem) -> Fibe
     for rep, m in sorted(masses.items()):
         if m == 0.0:
             continue
-        orbit_measure = rho_measure(X, rep, haar)
-        for pt, w in orbit_measure.weights.items():
+        for pt, w in rho_measure(X, rep, haar).items():
             weights[pt] = weights.get(pt, 0.0) + m * w
-    return FiberMeasure(weights)
+    return weights

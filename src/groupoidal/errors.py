@@ -22,7 +22,7 @@ class StructureBrokenError(GroupoidalError):
 
     Raised when the input object violates an axiom that the requested
     operation relies on: a bracket that is not unique (broken freeness),
-    a fiber measure that depends on the chosen representative (broken
+    an orbit measure that depends on the chosen representative (broken
     Haar invariance), or block convolution disagreeing with the direct
     product on the linking groupoid.
     """

@@ -136,9 +136,6 @@ class FiniteGroupoid:
     def has_unit(self, u: str) -> bool:
         return u in self._r_fibers
 
-    def composable(self, a: str, b: str) -> bool:
-        return self.s(a) == self.r(b)
-
     @cached_property
     def arrow_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.arrows)
@@ -266,10 +263,6 @@ class ValidationReport:
 
     def add(self, rule: str, message: str, *offenders: str) -> None:
         self.violations.append(Violation(rule, message, tuple(offenders)))
-
-    def extend(self, other: "ValidationReport") -> None:
-        self.violations.extend(other.violations)
-        self.notes.extend(other.notes)
 
     def rules(self) -> set[str]:
         return {v.rule for v in self.violations}

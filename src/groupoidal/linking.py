@@ -29,11 +29,12 @@ from typing import TYPE_CHECKING
 from .errors import CarrierMismatchError, StructureBrokenError, UnknownIdError
 from .equivalence import (
     Bispace,
+    base_point,
     g_bracket,
     h_bracket,
     opposite_point,
     opposite_space,
-    sigma_measure,
+    rho_measure,
 )
 from .groupoid import (
     Arrow,
@@ -187,24 +188,27 @@ def build_linking_haar(link: LinkingGroupoid, w_left: HaarSystem, w_right: HaarS
     Over a left unit the fiber carries the left Haar masses on the
     groupoid sector plus the right-orbit measure on the point sector;
     over a right unit it carries the mirrored-orbit measure plus the
-    right Haar masses.  The assembled table is checked by
+    right Haar masses.  Each orbit measure is ``rho_measure`` of the
+    other space's left action, read back through the mirror: the right
+    orbits of ``Z`` are the left orbits of its opposite space, and the
+    mirrored orbits are the left orbits of ``Z``.  The representative
+    over a unit is its first point.  The assembled table is checked by
     ``validate_haar`` (exact, no tolerance) before being returned, with
     that report as its ``self_check``.
     """
-    Z = link.bispace
+    Z, zop = link.bispace, link.opposite
     weights: dict[str, float] = {}
     for a in Z.left_groupoid.arrows:
         weights[link.arrow_of("GG", a.id)] = w_left.weight(a.id)
     for b in Z.right_groupoid.arrows:
         weights[link.arrow_of("HH", b.id)] = w_right.weight(b.id)
-    for u in Z.left_groupoid.units:
-        sigma = sigma_measure(Z, u, w_right)
-        for z, w in sigma.weights.items():
-            weights[link.arrow_of("GZ", z)] = w
-    for v in Z.right_groupoid.units:
-        sigma = sigma_measure(link.opposite, v, w_left)
-        for zb, w in sigma.weights.items():
-            weights[link.arrow_of("ZG", zb)] = w
+    for sector, X, mirror, haar in (("GZ", zop, base_point, w_right), ("ZG", Z, opposite_point, w_left)):
+        for u in X.right_groupoid.units:
+            fiber = X.s_fiber_points(u)
+            if not fiber:  # ``u`` is a left unit of the mirror of ``X``
+                raise UnknownIdError(f"no point lies over left unit {u!r}")
+            for x, w in rho_measure(X.left_space, fiber[0], haar).items():
+                weights[link.arrow_of(sector, mirror(x))] = w
     haar = HaarSystem(weights)
     report = validate_haar(link.groupoid, haar)
     if not report.ok:

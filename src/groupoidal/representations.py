@@ -239,7 +239,7 @@ def r_mu_rep(
     """
     if not X.is_free():
         raise StructureBrokenError("the action is not free; no orbit representation exists")
-    mass = rho_mu_measure(X, mu, haar).weights
+    mass = rho_mu_measure(X, mu, haar)
     basis = [z for orbit in X.orbits() for z in orbit if z in mass]
     k = len(basis)
     weights = np.array([mass[z] for z in basis], dtype=float)
@@ -345,13 +345,7 @@ def intertwining_residual(
     model = ind_delta(X.groupoid, haar, u, f)
     orbit = r_mu_rep(X, haar, {x0: 1.0}, f)
     position = {point: i for i, point in enumerate(orbit.basis)}
-    transported = np.zeros_like(model.entries)
-    order = []
-    for gamma in model.basis:
-        point = X.act(gamma, x0)
-        order.append(position[point])
-    for i, oi in enumerate(order):
-        for j, oj in enumerate(order):
-            transported[i, j] = orbit.entries[oi, oj]
+    order = [position[X.act(gamma, x0)] for gamma in model.basis]
+    transported = orbit.entries[np.ix_(order, order)]
     gap = np.abs(model.entries - transported)
     return float(gap.max()) if gap.size else 0.0

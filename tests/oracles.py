@@ -12,7 +12,10 @@ library, so the library's results must equal theirs exactly.  The
 structural validators are the exhaustive table scans, which must give
 the library's validation reports exactly.  The theorem-main1 oracle is
 the suite as it ran one sample at a time, one reduced norm per call;
-the blocked suite must give its report exactly.
+the blocked suite must give its report exactly.  The orbit measure on
+the point sector of the linking Haar system is the loop that pushed the
+right Haar masses along the right action, before it became ``rho_measure``
+of the opposite space.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import math
 import numpy as np
 
 from groupoidal.equivalence import PROPERNESS_NOTE, Bispace, GSpace
+from groupoidal.errors import StructureBrokenError, UnknownIdError
 from groupoidal.groupoid import FiniteGroupoid, ValidationReport, r_fiber
 
 
@@ -302,6 +306,54 @@ def unit_matrix(groupoid, weights: dict, u: str, values: dict) -> np.ndarray:
             if v:
                 entries[i, j] = v * weights[a] * (roots[i] / roots[j])
     return entries
+
+
+# --- the orbit measure on the point sector, sigma --------------------------------
+#
+# ``equivalence.sigma_measure`` as it was before ``build_linking_haar`` took
+# it from ``rho_measure`` of the mirror: the right Haar masses pushed along
+# the right action from every point over a left unit.
+
+
+def _measures_agree(a, b) -> bool:
+    if set(a) != set(b):
+        return False
+    if all(float(v).is_integer() for v in (*a.values(), *b.values())):
+        return all(a[k] == b[k] for k in a)
+    return all(abs(a[k] - b[k]) <= 1e-12 * max(1.0, abs(a[k])) for k in a)
+
+
+def sigma_measure(Z: Bispace, u: str, right_haar) -> dict[str, float]:
+    """Right-orbit measure over the left unit ``u``.
+
+    From any point ``z`` with ``r(z) == u``, push the right Haar masses
+    forward: ``sigma({z * eta}) == sum of w(eta)`` over the arrows
+    ``eta`` with ``r(eta) == s(z)`` landing on that point.  The result
+    must not depend on the chosen ``z``; every representative is checked
+    and a mismatch aborts, because it means the Haar system lost left
+    invariance somewhere.
+    """
+    fiber = Z.r_fiber_points(u)
+    if not fiber:
+        raise UnknownIdError(f"no point lies over left unit {u!r}")
+    H = Z.right_groupoid
+
+    def from_rep(z0: str) -> dict[str, float]:
+        acc: dict[str, float] = {}
+        for eta in r_fiber(H, Z.s_of(z0)):
+            pt = Z.right_act(z0, eta)
+            acc[pt] = acc.get(pt, 0.0) + right_haar.weight(eta)
+        return acc
+
+    reference = from_rep(fiber[0])
+    for z in fiber[1:]:
+        other = from_rep(z)
+        if not _measures_agree(reference, other):
+            raise StructureBrokenError(
+                f"orbit measure over {u!r} depends on the representative "
+                f"({fiber[0]!r} vs {z!r}); Haar invariance is broken"
+            )
+    return reference
 
 
 # --- structural validation, the exhaustive table scans ------------------------

@@ -7,6 +7,7 @@ from groupoidal import (
     CarrierMismatchError,
     HaarSystem,
     Lcg,
+    NonFiniteError,
     StructureBrokenError,
     UnknownIdError,
     build_linking,
@@ -205,6 +206,24 @@ class TestInnerProducts:
         phi = AlgebraElement("Z", {"g0": 1.0, "g1": 2.0j})
         with pytest.raises(StructureBrokenError, match="depends on the base point"):
             lip(phi, phi, Z, lopsided)
+
+    def test_infinite_base_point_sums_are_non_finite(self, pair_trivial2):
+        # both base points sum to inf, whose difference is NaN: no comparison is possible
+        Z, _, _ = pair_trivial2
+        huge = HaarSystem({a: 1.7e308 for a in Z.left_groupoid.arrow_ids})
+        phi = AlgebraElement("Z", {"z1": 1.0 + 0j, "z2": 1.0 + 0j})
+        with pytest.raises(NonFiniteError, match="at right arrow 'id_[*]' is not finite"):
+            rip(phi, phi, Z, huge)
+
+    @pytest.mark.parametrize("name", ["pair-trivial(2) rip", "self(2) rip", "self(2) lip"])
+    def test_huge_finite_base_point_sums_are_non_finite(self, pair_trivial2, self2, name):
+        # finite sums whose modulus is past the largest float
+        Z, wl, wr = pair_trivial2 if name.startswith("pair") else self2
+        phi = AlgebraElement("Z", {z: 1.0 + 0j for z in Z.points})
+        psi = AlgebraElement("Z", {z: 0.8e308 + 0.8e308j for z in Z.points})
+        inner, haar, key = (rip, wl, "right arrow") if name.endswith("rip") else (lip, wr, "left arrow")
+        with pytest.raises(NonFiniteError, match=f"at {key} '[^']*' is not finite"):
+            inner(phi, psi, Z, haar)
 
     @pytest.mark.parametrize(
         "name, side",

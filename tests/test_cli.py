@@ -8,10 +8,16 @@ import pytest
 
 import groupoidal
 
-from groupoidal import HaarSystem
+from groupoidal import HaarSystem, StructureBrokenError, build_linking, build_linking_haar
 from groupoidal.cli import build_parser, main
 from groupoidal.fileio import dump_element, dump_equivalence, dump_groupoid, write_json
-from groupoidal.fixtures import cyclic_group, pair_groupoid, pair_trivialization, transitive_equivalence
+from groupoidal.fixtures import (
+    cyclic_group,
+    cyclic_self_equivalence,
+    pair_groupoid,
+    pair_trivialization,
+    transitive_equivalence,
+)
 from groupoidal.verify import SUITES
 from groupoidal import AlgebraElement
 
@@ -180,6 +186,19 @@ class TestBuildLinkingCommand:
         assert {a["sector"] for a in payload["arrows"]} == {"GG", "GZ", "ZG", "HH"}
         code, _, _ = run(capsys, "validate", "--groupoid", str(out_path))
         assert code == 0
+
+
+    def test_non_invariant_haar_aborts_with_exit_two(self, capsys, tmp_path):
+        Z = cyclic_self_equivalence(2)
+        wl, lopsided = HaarSystem.counting(Z.left_groupoid), HaarSystem({"g0": 1.0, "g1": 2.0})
+        message = "orbit measure of '~g0' depends on the representative ('~g0' vs '~g1'); Haar invariance is broken"
+        with pytest.raises(StructureBrokenError) as caught:
+            build_linking_haar(build_linking(Z), wl, lopsided)
+        assert str(caught.value) == message
+        path = tmp_path / "lopsided.json"
+        write_json(path, dump_equivalence(Z, wl, lopsided))
+        code, out, err = run(capsys, "build-linking", "--equivalence", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 class TestCheckCommand:

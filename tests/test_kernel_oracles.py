@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_validation_oracles import BISPACES
 from groupoidal import (
     AlgebraElement,
     FiniteGroupoid,
@@ -34,6 +35,30 @@ from groupoidal.fixtures import (
     source_weighted_haar,
     transitive_equivalence,
 )
+
+
+class TestSigmaOracle:
+    """The point sectors of the linking Haar system against the old sigma loop."""
+
+    @pytest.mark.parametrize("name", sorted(BISPACES))
+    def test_point_sector_weights_equal_the_oracle(self, name):
+        Z = BISPACES[name]()
+        wl = HaarSystem({a: 0.3 for a in Z.left_groupoid.arrow_ids})
+        wr = HaarSystem({b: 0.7 for b in Z.right_groupoid.arrow_ids})
+        link = build_linking(Z)
+        kappa = build_linking_haar(link, wl, wr)
+        got = {
+            sector: [(link.origin[lid], w) for lid, w in kappa.weights.items() if link.sector[lid] == sector]
+            for sector in ("GZ", "ZG")
+        }
+        want = {
+            "GZ": [item for u in Z.left_groupoid.units for item in oracles.sigma_measure(Z, u, wr).items()],
+            "ZG": [
+                item for v in Z.right_groupoid.units
+                for item in oracles.sigma_measure(link.opposite, v, wl).items()
+            ],
+        }
+        assert got == want
 
 
 def _pair_trivial():

@@ -1,10 +1,15 @@
+import dataclasses
+
 import pytest
 
 from groupoidal import (
     AlgebraElement,
+    Arrow,
+    FiniteGroupoid,
     HaarSystem,
     Lcg,
     StructureBrokenError,
+    UnknownIdError,
     block_compose,
     block_decompose,
     build_linking,
@@ -21,6 +26,18 @@ from groupoidal.fixtures import (
     transitive_equivalence,
 )
 from groupoidal.linking import SECTOR_PRODUCT
+
+
+def with_isolated_unit(g, u):
+    """``g`` plus a unit ``u`` whose only arrow is its identity."""
+    ident = f"id_{u}"
+    return FiniteGroupoid(
+        units=g.units + (u,),
+        arrows=g.arrows + (Arrow(ident, u, u),),
+        compose={**g.compose, (ident, ident): ident},
+        inverse={**g.inverse, ident: ident},
+        unit_arrow={**g.unit_arrow, u: ident},
+    )
 
 
 def counting_pair(Z):
@@ -117,6 +134,14 @@ class TestLinkingHaar:
             kappa = build_linking_haar(link, *counting_pair(Z))
             assert validate_haar(link.groupoid, kappa).ok
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unit_without_points_is_an_unknown_id(self, pair_trivial2, side):
+        Z = pair_trivial2[0]
+        grown = with_isolated_unit(getattr(Z, f"{side}_groupoid"), "x")
+        Z = dataclasses.replace(Z, **{f"{side}_groupoid": grown})
+        with pytest.raises(UnknownIdError, match="no point lies over .*unit 'x'"):
+            build_linking_haar(build_linking(Z), *counting_pair(Z))
+
     def test_inversion_image_splits_into_orbit_measures(self):
         """Over a left unit the inverted fiber measure restricts, on the
         mirrored sector, to the orbit measure of the opposite space (and
@@ -129,13 +154,13 @@ class TestLinkingHaar:
         for u in Z.left_groupoid.units:
             zbar0 = min(p for p in zop.points if zop.s_of(p) == u)
             rho = rho_measure(zop.left_space, zbar0, wr)
-            for zbar, mass in rho.weights.items():
+            for zbar, mass in rho.items():
                 # kappa_u({zbar}) = kappa({inverse of zbar}) = kappa(Z:z)
                 assert kappa.weight("Z:" + zbar[1:]) == mass
         for v in Z.right_groupoid.units:
             z0 = min(p for p in Z.points if Z.s_of(p) == v)
             rho = rho_measure(Z.left_space, z0, wl)
-            for z, mass in rho.weights.items():
+            for z, mass in rho.items():
                 assert kappa.weight("Zop:~" + z) == mass
 
 

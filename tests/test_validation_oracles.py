@@ -3,18 +3,29 @@
 ``validate_groupoid`` screens composable pairs and associativity with
 numpy gathers and re-checks only the arrows the screen flags;
 ``validate_equivalence`` indexes the action rows of its commutation,
-compatibility and freeness scans.  The oracles in ``tests/oracles.py``
+compatibility and freeness scans, and checks both actions with one
+per-side validator.  The oracles in ``tests/oracles.py``
 visit every pair, triple and row.  Every report must equal the oracle's
 exactly: the same violations, in the same order, with the same text.
 """
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 import oracles
-from groupoidal import Arrow, Bispace, FiniteGroupoid, build_linking, validate_equivalence, validate_groupoid
+from groupoidal import (
+    Arrow,
+    Bispace,
+    FiniteGroupoid,
+    ValidationReport,
+    build_linking,
+    equivalence,
+    validate_equivalence,
+    validate_groupoid,
+)
 from groupoidal.fixtures import (
     cyclic_self_equivalence,
     pair_groupoid,
@@ -224,9 +235,67 @@ def make_a_fixed_point(Z, rng):
     return _rebuilt(Z, side, table)
 
 
+def _anchor(Z, rng):
+    name = rng.choice(("r_map", "s_map"))
+    return name, dict(getattr(Z, name))
+
+
+def drop_anchor_entries(Z, rng):
+    # dropping every entry over a unit leaves it with no point
+    name, anchor = _anchor(Z, rng)
+    for z in rng.sample(sorted(anchor), rng.randint(1, len(anchor))):
+        del anchor[z]
+    return dataclasses.replace(Z, **{name: anchor})
+
+
+def anchor_at_unknown_unit(Z, rng):
+    name, anchor = _anchor(Z, rng)
+    anchor[rng.choice(sorted(anchor))] = "ghost"
+    return dataclasses.replace(Z, **{name: anchor})
+
+
+def anchor_at_another_unit(Z, rng):
+    name, anchor = _anchor(Z, rng)
+    units = (Z.left_groupoid if name == "r_map" else Z.right_groupoid).units
+    z = rng.choice(sorted(anchor))
+    others = [u for u in units if u != anchor[z]]
+    if others:
+        anchor[z] = rng.choice(others)
+    return dataclasses.replace(Z, **{name: anchor})
+
+
 EQUIVALENCE_MUTATIONS = {
     f.__name__: f
-    for f in (drop_action_rows, rewire_action_row, rewire_action_row_to_unknown_point, make_a_fixed_point)
+    for f in (
+        drop_action_rows,
+        rewire_action_row,
+        rewire_action_row_to_unknown_point,
+        make_a_fixed_point,
+        drop_anchor_entries,
+        anchor_at_unknown_unit,
+        anchor_at_another_unit,
+    )
+}
+
+# Every message the action validator writes, per side, with each quoted id as ``_``.
+ACTION_MESSAGES = {
+    side: {
+        ("unknown-id", f"point _ has no {side} anchor"),
+        ("unknown-id", f"{side} anchor of _ is unknown unit _"),
+        ("unknown-id", f"{side} action entry (_, _) -> _ references unknown ids"),
+        ("action-definedness", f"{side} action defined on non-matching pair (_, _)"),
+        ("action-definedness", f"{side} action missing for (_, _)"),
+        ("action-range", moved_end),
+        ("action-range", f"{side} action moved the {other} anchor of _"),
+        ("unit-acts-trivially", "unit arrow of _ moves point _"),
+        ("action-compatibility", compatibility),
+        ("freeness", "non-identity arrow _ fixes point _"),
+        ("anchor-surjective", f"no point lies over {side} unit _"),
+    }
+    for side, other, moved_end, compatibility in (
+        ("left", "right", "range anchor of _*_ is not r(_)", "(__)*_ != _*(_*_)"),
+        ("right", "left", "source anchor of _*_ is not s(_)", "_*(__) != (_*_)*_"),
+    )
 }
 
 
@@ -245,6 +314,21 @@ class TestEquivalenceReports:
         for seed in SEEDS:
             Z = EQUIVALENCE_MUTATIONS[mutation](base, random.Random(f"{name}:{mutation}:{seed}"))
             assert_same_report(validate_equivalence(Z), oracles.validate_equivalence(Z))
+
+    def test_every_action_message_fires_on_both_sides(self):
+        # the reports above equal the oracle's, so each of these templates is
+        # held to it byte for byte on at least one mutated table
+        seen = {"left": set(), "right": set()}
+        for mutation in EQUIVALENCE_MUTATIONS:
+            for name in BISPACES:
+                for seed in SEEDS:
+                    rng = random.Random(f"{name}:{mutation}:{seed}")
+                    Z = EQUIVALENCE_MUTATIONS[mutation](BISPACES[name](), rng)
+                    for side in equivalence._sides(Z):
+                        rep = ValidationReport(subject=side.name)
+                        equivalence._validate_action_side(rep, Z, side)
+                        seen[side.name] |= {(v.rule, re.sub(r"'[^']*'", "_", v.message)) for v in rep.violations}
+        assert seen == ACTION_MESSAGES
 
     def test_fixed_points_and_commutation_failures_are_reported(self):
         rules = set()
