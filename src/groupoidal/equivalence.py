@@ -34,10 +34,16 @@ from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 from .errors import BracketNotFoundError, StructureBrokenError, UnknownIdError
-from .groupoid import FiniteGroupoid, HaarSystem, ValidationReport, r_fiber, s_fiber
-
-# key -> one row per base point; a row is a tuple of (weight id, x id, y id) terms
-Rows = dict[str, tuple[tuple[tuple[str, str, str], ...], ...]]
+from .groupoid import (
+    FiniteGroupoid,
+    HaarSystem,
+    Rows,
+    RowTable,
+    ValidationReport,
+    compile_rows,
+    r_fiber,
+    s_fiber,
+)
 
 __all__ = [
     "GSpace",
@@ -199,10 +205,35 @@ class Bispace:
     #
     # Each table maps a key to one row per base point; a row lists the
     # terms ``(w, i, j)`` of one sum ``x(i) * y(j) * weight(w)`` of the
-    # bimodule kernel in ``algebra``, with every id already resolved.  The
-    # actions have a single row per key.  They hold ids only, no Haar
-    # weights.  An entry missing from the tables raises ``UnknownIdError``
-    # while a table is built; nothing is cached then.
+    # kernel in ``algebra``, with every id already resolved.  The actions
+    # have a single row per key.  They hold ids only, no Haar weights.
+    # The ``*_table`` properties compile them to positions in the
+    # canonical orders of the weight groupoid and of the x and y
+    # carriers.  An entry missing from the tables raises
+    # ``UnknownIdError`` while a table is built; nothing is cached then.
+
+    @cached_property
+    def point_index(self) -> dict[str, int]:
+        """The position of each point in ``points``."""
+        return {z: i for i, z in enumerate(self.points)}
+
+    @cached_property
+    def left_table(self) -> RowTable:
+        G = self.left_groupoid._positions
+        return compile_rows(self.left_rows, G, G, self.point_index)
+
+    @cached_property
+    def right_table(self) -> RowTable:
+        H = self.right_groupoid._positions
+        return compile_rows(self.right_rows, H, self.point_index, H)
+
+    @cached_property
+    def rip_table(self) -> RowTable:
+        return compile_rows(self.rip_rows, self.left_groupoid._positions, self.point_index, self.point_index)
+
+    @cached_property
+    def lip_table(self) -> RowTable:
+        return compile_rows(self.lip_rows, self.right_groupoid._positions, self.point_index, self.point_index)
 
     @cached_property
     def left_rows(self) -> Rows:

@@ -34,6 +34,8 @@ __all__ = [
     "Arrow",
     "FiberTable",
     "FiniteGroupoid",
+    "RowTable",
+    "compile_rows",
     "HaarSystem",
     "Violation",
     "ValidationReport",
@@ -66,6 +68,56 @@ class FiberTable(NamedTuple):
     fiber: tuple[str, ...]
     inverses: np.ndarray  # intp, shape (k,)
     products: np.ndarray  # intp, shape (k, k)
+
+
+# key -> one row per base point; a row is a tuple of (weight id, x id, y id) terms
+Rows = Mapping[str, tuple[tuple[tuple[str, str, str], ...], ...]]
+
+
+class RowTable(NamedTuple):
+    """The rows of one kernel, compiled to positions.
+
+    A row is one sum ``x(i) * y(j) * weight(w)`` over its terms
+    ``(w, i, j)``.  Each key has one row per base point, and a key's rows
+    are consecutive.  ``weights``, ``x`` and ``y`` hold the term
+    positions as ``(T, R)`` arrays, term-major, each row padded to the
+    longest with ``-1``, which indexes the zero slot a kernel appends to
+    its value and weight vectors.
+    """
+
+    keys: tuple[str, ...]
+    weights: np.ndarray  # intp, shape (T, R)
+    x: np.ndarray  # intp, shape (T, R)
+    y: np.ndarray  # intp, shape (T, R)
+    first: np.ndarray  # intp, shape (K,): the first row of each key
+    owner: np.ndarray  # intp, shape (R,): the key of each row
+
+
+def compile_rows(
+    rows: Rows,
+    w_index: Mapping[str, int],
+    x_index: Mapping[str, int],
+    y_index: Mapping[str, int],
+) -> RowTable:
+    """Compile ``key -> rows of (w, i, j) id terms`` to a ``RowTable``.
+
+    An id missing from its index raises ``UnknownIdError``.
+    """
+    flat = [row for base_rows in rows.values() for row in base_rows]
+    width = max(map(len, flat), default=0)
+    try:
+        cells = [
+            [(w_index[w], x_index[i], y_index[j]) for w, i, j in row] + [(-1, -1, -1)] * (width - len(row))
+            for row in flat
+        ]
+    except KeyError as exc:
+        raise UnknownIdError(f"the tables name unknown id {exc.args[0]!r}") from None
+    positions = np.array(cells, dtype=np.intp).reshape(len(flat), width, 3).transpose(2, 1, 0)
+    counts = np.fromiter(map(len, rows.values()), dtype=np.intp, count=len(rows))
+    first = np.zeros(len(rows), dtype=np.intp)
+    np.cumsum(counts[:-1], out=first[1:])
+    owner = np.repeat(np.arange(len(rows), dtype=np.intp), counts)
+    return RowTable(tuple(rows), *map(np.ascontiguousarray, positions), first, owner)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,17 +193,29 @@ class FiniteGroupoid:
         return tuple(a.id for a in self.arrows)
 
     @cached_property
-    def product_rows(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """``a -> ((b, ab), ...)`` over the range fiber of ``s(a)``, in canonical order.
+    def product_table(self) -> RowTable:
+        """Per arrow ``c``, in canonical order, one row of terms ``(a, a, b)``
+        over the pairs with ``ab = c``, ``a`` in canonical order.
 
-        Built on first use.  A composable pair missing from the tables
-        raises ``UnknownIdError``, and nothing is cached then, so every
-        later use raises too.
+        The convolution kernel sums ``f(a) g(b) w(a)`` over the row.  Built
+        on first use.  A composable pair missing from the tables, or a
+        product naming an unknown arrow, raises ``UnknownIdError``, and
+        nothing is cached then, so every later use raises too.
         """
-        rows: dict[str, tuple[tuple[str, str], ...]] = {}
+        terms: dict[str, list[tuple[str, str, str]]] = {c: [] for c in self._by_id}
         for aid, a in self._by_id.items():
-            rows[aid] = tuple((b, self.mul(aid, b)) for b in r_fiber(self, a.src))
-        return rows
+            for b in r_fiber(self, a.src):
+                c = self.mul(aid, b)
+                if c not in terms:
+                    raise UnknownIdError(f"the tables name unknown arrow {c!r}")
+                terms[c].append((aid, aid, b))
+        index = self._positions
+        return compile_rows({c: (tuple(row),) for c, row in terms.items()}, index, index, index)
+
+    @cached_property
+    def inverse_positions(self) -> np.ndarray:
+        """Position of ``inverse(a)`` for each arrow ``a``, in canonical order."""
+        return self._positions_of([self.inv(a) for a in self.arrow_ids])
 
     def fiber_products(self, u: str) -> FiberTable:
         """The source fiber of ``u`` with its inverse and product positions.

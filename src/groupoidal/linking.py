@@ -24,7 +24,10 @@ like the four standalone carriers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import CarrierMismatchError, StructureBrokenError, UnknownIdError
 from .equivalence import (
@@ -91,6 +94,18 @@ class LinkingGroupoid:
             return self.lift[(sector, home_id)]
         except KeyError:
             raise UnknownIdError(f"no linking arrow for {home_id!r} in sector {sector!r}") from None
+
+    @cached_property
+    def sector_positions(self) -> tuple[np.ndarray, ...]:
+        """Per sector, in ``SECTORS`` order, the linking-arrow position of
+        each id of the sector's home carrier, in that carrier's canonical order."""
+        Z = self.bispace
+        homes = (Z.left_groupoid.arrow_ids, Z.points, self.opposite.points, Z.right_groupoid.arrow_ids)
+        index = self.groupoid._positions
+        return tuple(
+            np.array([index[self.arrow_of(sector, home)] for home in ids], dtype=np.intp)
+            for sector, ids in zip(SECTORS, homes)
+        )
 
 
 def build_linking(Z: Bispace) -> LinkingGroupoid:
@@ -202,11 +217,14 @@ def build_linking_haar(link: LinkingGroupoid, w_left: HaarSystem, w_right: HaarS
         weights[link.arrow_of("GG", a.id)] = w_left.weight(a.id)
     for b in Z.right_groupoid.arrows:
         weights[link.arrow_of("HH", b.id)] = w_right.weight(b.id)
-    for sector, X, mirror, haar in (("GZ", zop, base_point, w_right), ("ZG", Z, opposite_point, w_left)):
-        for u in X.right_groupoid.units:
+    for sector, side, X, mirror, haar in (
+        ("GZ", "left", zop, base_point, w_right),
+        ("ZG", "right", Z, opposite_point, w_left),
+    ):
+        for u in X.right_groupoid.units:  # the ``side`` units of ``Z``
             fiber = X.s_fiber_points(u)
-            if not fiber:  # ``u`` is a left unit of the mirror of ``X``
-                raise UnknownIdError(f"no point lies over left unit {u!r}")
+            if not fiber:
+                raise UnknownIdError(f"no point lies over {side} unit {u!r}")
             for x, w in rho_measure(X.left_space, fiber[0], haar).items():
                 weights[link.arrow_of(sector, mirror(x))] = w
     haar = HaarSystem(weights)

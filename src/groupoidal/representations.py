@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, rip
+from .algebra import AlgebraElement, Elements, haar_vector, layout, rip_block
 from .equivalence import Bispace, GSpace, rho_mu_measure
 from .errors import StructureBrokenError, UnknownIdError
 from .groupoid import FiberTable, FiniteGroupoid, HaarSystem, ValidationReport, i_norm
@@ -75,29 +75,6 @@ class RepMatrix:
             )
 
 
-def _weight_vector(groupoid: FiniteGroupoid, haar: HaarSystem) -> np.ndarray:
-    """The current Haar weights in canonical arrow order."""
-    weights = haar.weights
-    try:
-        return np.array([weights[a] for a in groupoid.arrow_ids], dtype=float)
-    except KeyError as exc:
-        raise UnknownIdError(f"no Haar weight for arrow {exc.args[0]!r}") from None
-
-
-def _value_matrix(groupoid: FiniteGroupoid, elements: Sequence[AlgebraElement]) -> np.ndarray:
-    """One row of values per element, in canonical arrow order (absent = 0)."""
-    known = groupoid._positions.keys()
-    ids = groupoid.arrow_ids
-    rows = []
-    for f in elements:
-        values = f.values
-        if not values.keys() <= known:
-            unknown = sorted(values.keys() - known)
-            raise UnknownIdError(f"element has values on unknown arrow ids {unknown!r}")
-        rows.append([values.get(a, 0j) for a in ids])
-    return np.array(rows, dtype=np.complex128).reshape(len(elements), len(ids))
-
-
 def _unit_stack(
     table: FiberTable, weights: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,16 +98,18 @@ def unit_stacks(
     groupoid: FiniteGroupoid,
     haar: HaarSystem,
     units: Sequence[str],
-    elements: Sequence[AlgebraElement],
+    elements: Elements,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per unit of ``units``, in order: its source masses, and the ``ind_delta``
     matrices of every element as one ``(n, k, k)`` stack.
 
-    The values are laid out and the Haar weights read once per call.
-    Values on ids the groupoid lacks raise ``UnknownIdError``.
+    ``elements`` is a list of elements or an ``(n, |arrows|)`` block of
+    values in canonical arrow order (see ``algebra.layout``).  The values
+    are laid out and the Haar weights read once per call.  Values on ids
+    the groupoid lacks raise ``UnknownIdError``.
     """
-    values = _value_matrix(groupoid, elements)
-    weights = _weight_vector(groupoid, haar)
+    values = layout(elements, groupoid.arrow_ids, groupoid._positions, "arrow")
+    weights = haar_vector(groupoid, haar)
     for u in units:
         yield _unit_stack(groupoid.fiber_products(u), weights, values)
 
@@ -162,9 +141,7 @@ def norm_units(groupoid: FiniteGroupoid, haar: HaarSystem) -> tuple[str, ...]:
     return groupoid.units
 
 
-def reduced_norms(
-    elements: Sequence[AlgebraElement], groupoid: FiniteGroupoid, haar: HaarSystem
-) -> list[float]:
+def reduced_norms(elements: Elements, groupoid: FiniteGroupoid, haar: HaarSystem) -> list[float]:
     """``reduced_norm`` of every element, one stack and one batched SVD per unit.
 
     Only one unit per orbit is solved when the Haar masses allow it.  For
@@ -267,7 +244,7 @@ def reduced_kernel_dimension(groupoid: FiniteGroupoid, haar: HaarSystem) -> int:
     with no pivot tolerance.  That entry is the ``(gamma, beta)`` entry of
     the all-ones function's matrix at ``u``.
     """
-    weights = _weight_vector(groupoid, haar)
+    weights = haar_vector(groupoid, haar)
     ones = np.ones((1, len(weights)), dtype=np.complex128)
     hit = np.zeros(len(weights), dtype=bool)
     for u in groupoid.units:
@@ -309,21 +286,24 @@ def gram_min_eigenvalue(
     Z: Bispace,
     w_left: HaarSystem,
     w_right: HaarSystem,
-    phis: Sequence[AlgebraElement],
-    inner=rip,
+    phis: Elements,
+    inner=rip_block,
 ) -> float:
     """Smallest eigenvalue over ``norm_units`` of the represented Gram blocks.
 
     The Gram matrix of right inner products is positive in every
     per-unit representation of the right groupoid; the minimum over all
     represented blocks certifies it (up to eigensolver accuracy).
-    ``inner`` is the right inner product, replaceable for fault injection.
+    ``phis`` is a list of elements or a block of point values.
+    ``inner`` is the block right inner product (``rip_block``'s
+    signature), replaceable for fault injection.
     """
     H = Z.right_groupoid
+    phis = layout(phis, Z.points, Z.point_index, "point")
     n = len(phis)
     if n == 0:
         return 0.0
-    grams = [inner(phis[i], phis[j], Z, w_left) for i in range(n) for j in range(n)]
+    grams = inner(phis[np.repeat(np.arange(n), n)], phis[np.tile(np.arange(n), n)], Z, w_left)
     smallest = np.inf
     for _, stack in unit_stacks(H, w_right, norm_units(H, w_right), grams):
         k = stack.shape[-1]

@@ -12,7 +12,11 @@ library, so the library's results must equal theirs exactly.  The
 structural validators are the exhaustive table scans, which must give
 the library's validation reports exactly.  The theorem-main1 oracle is
 the suite as it ran one sample at a time, one reduced norm per call;
-the blocked suite must give its report exactly.  The orbit measure on
+the blocked suite must give its report exactly.  The imprimitivity,
+full-projections, universal and representation-law oracles are those
+suites as they drew and evaluated one sample at a time through the
+one-element maps; the blocked suites must give their reports, and record
+their residuals, exactly as these do.  The orbit measure on
 the point sector of the linking Haar system is the loop that pushed the
 right Haar masses along the right action, before it became ``rho_measure``
 of the opposite space.
@@ -702,4 +706,209 @@ def theorem_main1(Z, w_left, w_right, samples: int, tol: float, seed: int, link,
                 "norm_left_inner": norm_left,
             },
         )
+    return report
+
+
+# --- the other suites, one sample at a time -------------------------------------
+#
+# ``verify_imprimitivity``, ``verify_full_projections``,
+# ``verify_universal_norm_finite`` and ``verify_representation_laws`` before
+# they drew and evaluated their samples in blocks: per sample, draw each
+# element with ``random_element`` and evaluate every law through the
+# one-element maps, which compare dicts.
+
+
+def imprimitivity(
+    Z, w_left, w_right, samples, seed, inner_right=None, tol=1e-10, adjoint_tol=1e-12, gram_tol=1e-10
+):
+    """``inner_right`` is a one-element right inner product (``rip`` by default)."""
+    from groupoidal.algebra import convolve, involution, left_action, lip, right_action, rip
+    from groupoidal.representations import gram_min_eigenvalue
+    from groupoidal.verify import Lcg, SuiteReport, random_element
+
+    inner_right = inner_right or rip
+    report = SuiteReport("imprimitivity", seed, samples, 1.0)
+    report.notes.append(
+        "residuals are relative to each law's own bound: "
+        f"identity={tol!r} algebraic={adjoint_tol!r} gram={gram_tol!r}"
+    )
+    G, H = Z.left_groupoid, Z.right_groupoid
+    rng = Lcg(seed)
+
+    def law(residual, name, index, bound):
+        report.record(residual / bound, {"sample": index, "law": name, "residual": residual})
+
+    for index in range(samples):
+        f1, f2, f3 = (random_element(Z.labels[0], G.arrow_ids, rng) for _ in range(3))
+        b1, b2 = (random_element(Z.labels[1], H.arrow_ids, rng) for _ in range(2))
+        phi, psi, chi = (random_element(Z.labels[2], Z.points, rng) for _ in range(3))
+
+        assoc = convolve(convolve(f1, f2, G, w_left), f3, G, w_left).distance(
+            convolve(f1, convolve(f2, f3, G, w_left), G, w_left)
+        )
+        law(assoc, "associativity-left", index, adjoint_tol)
+        assoc_h = convolve(convolve(b1, b2, H, w_right), b2, H, w_right).distance(
+            convolve(b1, convolve(b2, b2, H, w_right), H, w_right)
+        )
+        law(assoc_h, "associativity-right", index, adjoint_tol)
+        anti = involution(convolve(f1, f2, G, w_left), G).distance(
+            convolve(involution(f2, G), involution(f1, G), G, w_left)
+        )
+        law(anti, "involution-antimultiplicative", index, adjoint_tol)
+        bimod = right_action(left_action(f1, phi, Z, w_left), b1, Z, w_right).distance(
+            left_action(f1, right_action(phi, b1, Z, w_right), Z, w_left)
+        )
+        law(bimod, "bimodule-compatibility", index, adjoint_tol)
+        adj_r = inner_right(left_action(f1, phi, Z, w_left), psi, Z, w_left).distance(
+            inner_right(phi, left_action(involution(f1, G), psi, Z, w_left), Z, w_left)
+        )
+        law(adj_r, "right-inner-adjoint", index, adjoint_tol)
+        adj_l = lip(right_action(phi, b1, Z, w_right), psi, Z, w_right).distance(
+            lip(phi, right_action(psi, involution(b1, H), Z, w_right), Z, w_right)
+        )
+        law(adj_l, "left-inner-adjoint", index, adjoint_tol)
+        imprim = right_action(phi, inner_right(psi, chi, Z, w_left), Z, w_right).distance(
+            left_action(lip(phi, psi, Z, w_right), chi, Z, w_left)
+        )
+        law(imprim, "imprimitivity-identity", index, tol)
+
+    def gram_inner(phi_rows, psi_rows, bispace, haar):
+        # the one-element inner product, one row pair at a time
+        from groupoidal.algebra import AlgebraElement
+
+        def element(row):
+            return AlgebraElement(bispace.labels[2], dict(zip(bispace.points, row.tolist())))
+
+        out = [inner_right(element(a), element(b), bispace, haar) for a, b in zip(phi_rows, psi_rows)]
+        ids = bispace.right_groupoid.arrow_ids
+        rows = [[g.get(k) for k in ids] for g in out]
+        return np.array(rows, dtype=np.complex128).reshape(len(out), len(ids))
+
+    worst_low = 0.0
+    for round_index in range(max(1, samples // 10)):
+        phis = [random_element(Z.labels[2], Z.points, rng) for _ in range(3)]
+        low = gram_min_eigenvalue(Z, w_left, w_right, phis, inner=gram_inner)
+        worst_low = min(worst_low, low)
+        report.record(
+            max(0.0, -low) / gram_tol,
+            {"round": round_index, "law": "gram-positivity", "min_eigenvalue": low},
+        )
+    report.notes.append(f"gram worst min_eigenvalue={worst_low!r}")
+    return report
+
+
+def full_projections(Z, w_left, w_right, generators, seed, pivot_tol=1e-9):
+    from groupoidal.algebra import convolve, left_action, op_star, right_action, rip
+    from groupoidal.equivalence import opposite_space
+    from groupoidal.numerics import complex_rank
+    from groupoidal.verify import Lcg, SuiteReport, random_element
+
+    G, H = Z.left_groupoid, Z.right_groupoid
+    zop = opposite_space(Z)
+    dims = {"G": len(G.arrows), "Z": len(Z.points), "Zop": len(Z.points), "H": len(H.arrows)}
+    report = SuiteReport("full-projections", seed, generators, float(pivot_tol))
+    rng = Lcg(seed)
+    families = {"G": [], "Z": [], "Zop": [], "H": []}
+    for _ in range(generators):
+        f11 = random_element(Z.labels[0], G.arrow_ids, rng)
+        k11 = random_element(Z.labels[0], G.arrow_ids, rng)
+        k12 = random_element(Z.labels[2], Z.points, rng)
+        f21 = random_element(zop.labels[2], zop.points, rng)
+        families["G"].append(convolve(f11, k11, G, w_left))
+        families["Z"].append(left_action(f11, k12, Z, w_left))
+        families["Zop"].append(right_action(f21, k11, zop, w_left))
+        families["H"].append(rip(op_star(f21), k12, Z, w_left))
+    ids = {"G": G.arrow_ids, "Z": Z.points, "Zop": zop.points, "H": H.arrow_ids}
+    ranks = {}
+    for name, elements in families.items():
+        matrix = np.array([[e.get(key) for key in ids[name]] for e in elements], dtype=np.complex128)
+        ranks[name] = complex_rank(matrix, pivot_tol)
+    report.notes.append(f"ranks={ranks!r} dims={dims!r}")
+    deficient = {name for name in dims if ranks[name] < dims[name]}
+    if deficient:
+        report.status = "undersampled" if generators < max(dims[name] for name in deficient) else "fail"
+        report.max_residual = 1.0
+        report.witness = {"ranks": ranks, "dims": dims}
+    return report
+
+
+def universal_norm_finite(Z, w_left, w_right, samples, tol, seed, link, kappa):
+    from groupoidal.algebra import blockwise_residual
+    from groupoidal.representations import reduced_kernel_dimension
+    from groupoidal.verify import AMENABILITY_NOTE, Lcg, SuiteReport, random_element
+
+    report = SuiteReport("universal-norm-finite", seed, samples, tol)
+    report.notes.append(AMENABILITY_NOTE)
+    L = link.groupoid
+    rng = Lcg(seed)
+    for index in range(samples):
+        F = random_element("L", L.arrow_ids, rng)
+        K = random_element("L", L.arrow_ids, rng)
+        _, residual, worst = blockwise_residual(F, K, link, w_left, w_right, kappa)
+        report.max_residual = max(report.max_residual, residual)
+        if residual > 1e-12:
+            report.status = "fail"
+            report.witness = {"sample": index, "law": "block-identity", "arrow": worst}
+    kernels = {
+        "G": reduced_kernel_dimension(Z.left_groupoid, w_left),
+        "H": reduced_kernel_dimension(Z.right_groupoid, w_right),
+        "L": reduced_kernel_dimension(L, kappa),
+    }
+    report.notes.append(f"kernel_dimensions={kernels!r}")
+    if any(kernels.values()):
+        report.status = "fail"
+        report.witness = {"law": "kernel-triviality", "kernel_dimensions": kernels}
+    return report
+
+
+def representation_laws(Z, w_left, w_right, samples, seed, tol=1e-12, norm_slack=1e-9):
+    """Draws, products and stars one sample at a time; the matrices were already
+    stacked per block, as here."""
+    from groupoidal.algebra import convolve, involution
+    from groupoidal.groupoid import i_norm
+    from groupoidal.numerics import spectral_norm
+    from groupoidal.representations import intertwining_residual, r_mu_rep, reduced_norm, unit_stacks
+    from groupoidal.verify import BLOCK, Lcg, SuiteReport, random_element
+
+    report = SuiteReport("representation-laws", seed, samples, tol)
+    G, X = Z.left_groupoid, Z.left_space
+    rng = Lcg(seed)
+    full_mu = {orbit[0]: 1.0 for orbit in X.orbits()}
+    for start in range(0, samples, BLOCK):
+        indices = range(start, min(samples, start + BLOCK))
+        fs, gs = [], []
+        for _ in indices:
+            fs.append(random_element(Z.labels[0], G.arrow_ids, rng))
+            gs.append(random_element(Z.labels[0], G.arrow_ids, rng))
+        products = [convolve(f, g, G, w_left) for f, g in zip(fs, gs)]
+        stars = [involution(f, G) for f in fs]
+        laws = []
+        for _, stack in unit_stacks(G, w_left, G.units, fs + gs + products + stars):
+            mf, mg, mfg, mstar = stack.reshape(4, len(fs), *stack.shape[1:])
+            with np.errstate(all="ignore"):
+                hom = np.abs(mfg - mf @ mg).max(axis=(1, 2))
+                adj = np.abs(mstar - mf.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+            laws.append((hom.tolist(), adj.tolist()))
+        for i, (index, f) in enumerate(zip(indices, fs)):
+            for u, (hom, adj) in zip(G.units, laws):
+                report.record(hom[i], {"sample": index, "law": "multiplicative", "unit": u})
+                report.record(adj[i], {"sample": index, "law": "star", "unit": u})
+            x0 = Z.points[0]
+            report.record(
+                intertwining_residual(X, w_left, x0, f),
+                {"sample": index, "law": "orbit-transport", "point": x0},
+            )
+            norm_reduced = reduced_norm(f, G, w_left)
+            norm_orbit = spectral_norm(r_mu_rep(X, w_left, full_mu, f).entries)
+            if norm_orbit > norm_reduced + norm_slack:
+                report.record(
+                    abs(norm_orbit - norm_reduced),
+                    {"sample": index, "law": "orbit-dominated", "orbit": norm_orbit},
+                )
+            bound = i_norm(f, G, w_left)
+            if norm_reduced > bound + 1e-10:
+                report.record(
+                    abs(norm_reduced - bound),
+                    {"sample": index, "law": "i-norm-bound", "i_norm": bound},
+                )
     return report

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +31,7 @@ from groupoidal import (
 )
 from groupoidal.algebra import blockwise_residual
 from groupoidal.fixtures import cyclic_self_equivalence, pair_trivialization, transitive_equivalence
+import groupoidal
 
 D = AlgebraElement.delta
 
@@ -243,6 +250,33 @@ class TestInnerProducts:
         with pytest.raises(UnknownIdError, match=f"'g1' is missing from the {side} Haar system"):
             calls[name]()
 
+    def test_overflow_from_finite_inputs_is_non_finite(self, pair_trivial2):
+        Z, _, _ = pair_trivial2
+        huge = HaarSystem({a: 1.7e308 for a in Z.left_groupoid.arrow_ids})
+        f = AlgebraElement("G", {a: 2.0 + 0j for a in Z.left_groupoid.arrow_ids})
+        phi = AlgebraElement("Z", {z: 1.0 + 0j for z in Z.points})
+        with pytest.raises(NonFiniteError, match="left action at point 'z1' is not finite"):
+            left_action(f, phi, Z, huge)
+
+    @pytest.mark.parametrize("name", ["convolve-f", "convolve-g", "left_action", "right_action", "rip", "lip"])
+    def test_values_on_unknown_ids_raise(self, pair_trivial2, name):
+        Z, wl, wr = pair_trivial2
+        G = Z.left_groupoid
+        f, b, phi = D("G", "(1,2)"), D("H", "id_*"), D("Z", "z1")
+        bad_f = AlgebraElement("G", {"(1,2)": 1.0 + 0j, "nope": 5j})
+        bad_phi = AlgebraElement("Z", {"z1": 1.0 + 0j, "nope": 5j})
+        bad_b = AlgebraElement("H", {"id_*": 1.0 + 0j, "nope": 5j})
+        calls = {
+            "convolve-f": lambda: convolve(bad_f, f, G, wl),
+            "convolve-g": lambda: convolve(f, bad_f, G, wl),
+            "left_action": lambda: left_action(bad_f, phi, Z, wl),
+            "right_action": lambda: right_action(phi, bad_b, Z, wr),
+            "rip": lambda: rip(phi, bad_phi, Z, wl),
+            "lip": lambda: lip(bad_phi, phi, Z, wr),
+        }
+        with pytest.raises(UnknownIdError, match="'nope'"):
+            calls[name]()
+
     def test_imprimitivity_identity(self):
         Z = transitive_equivalence(2, 2)
         wl = HaarSystem.counting(Z.left_groupoid)
@@ -328,6 +362,34 @@ class TestBlockwiseConvolution:
         _, residual, worst = blockwise_residual(F, F, link, wl, wr)
         assert residual == float("inf") and worst is not None
         assert F.distance(AlgebraElement("L", {"G:(1,2)": 1.0 + 0j})) == float("inf")
+
+    def test_tied_worst_arrow_is_the_first_in_canonical_order_in_any_process(self):
+        # a NaN weight makes three gaps infinite; the witness names the first
+        # of them in canonical arrow order, whatever the string hash seed
+        script = """
+import json
+from groupoidal import HaarSystem, build_linking, build_linking_haar, verify_universal_norm_finite
+from groupoidal.fixtures import pair_trivialization
+Z = pair_trivialization(2)
+wl, wr = HaarSystem.counting(Z.left_groupoid), HaarSystem.counting(Z.right_groupoid)
+link = build_linking(Z)
+weights = dict(build_linking_haar(link, wl, wr).weights)
+weights["Z:z1"] = float("nan")
+report = verify_universal_norm_finite(Z, wl, wr, 3, 1e-9, 1, link, HaarSystem(weights))
+print(json.dumps(report.witness))
+"""
+        src = str(Path(groupoidal.__file__).resolve().parent.parent)
+        witnesses = []
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+            )
+            assert done.returncode == 0, done.stderr
+            witnesses.append(json.loads(done.stdout))
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[0]["arrow"] == "G:(1,1)"
 
     def test_detects_tampered_direct_product(self, pair_trivial2):
         Z, wl, wr = pair_trivial2

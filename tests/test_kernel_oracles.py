@@ -22,12 +22,21 @@ from groupoidal import (
     build_linking_haar,
     convolve,
     ind_delta,
+    involution,
     left_action,
     lip,
     opposite_space,
     reduced_norm,
     right_action,
     rip,
+)
+from groupoidal.algebra import (
+    convolve_block,
+    involution_block,
+    left_action_block,
+    lip_block,
+    right_action_block,
+    rip_block,
 )
 from groupoidal.fixtures import (
     cyclic_self_equivalence,
@@ -161,6 +170,36 @@ class TestKernelsEqualOracles:
                 want = oracles.unit_matrix(groupoid, haar.weights, u, f.values)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,opposite", CASES, ids=CASE_IDS)
+def test_block_maps_equal_the_one_element_maps_row_by_row(name, opposite):
+    Z, wl, wr = case(name, opposite)
+    G, H = Z.left_groupoid, Z.right_groupoid
+    rows = [(seed, sparse) for seed in range(3) for sparse in (False, True)]
+
+    def block(carrier, ids, label):
+        elements = [element(carrier, ids, (seed, label), sparse) for seed, sparse in rows]
+        return elements, np.array([[e.get(k) for k in ids] for e in elements], dtype=np.complex128)
+
+    fs, F = block(Z.labels[0], G.arrow_ids, "f")
+    gs, Gb = block(Z.labels[0], G.arrow_ids, "g")
+    bs, B = block(Z.labels[1], H.arrow_ids, "b")
+    phis, Phi = block(Z.labels[2], Z.points, "phi")
+    psis, Psi = block(Z.labels[2], Z.points, "psi")
+    maps = (
+        (convolve_block(F, Gb, G, wl), [convolve(f, g, G, wl) for f, g in zip(fs, gs)], G.arrow_ids),
+        (involution_block(F, G), [involution(f, G) for f in fs], G.arrow_ids),
+        (left_action_block(F, Phi, Z, wl), [left_action(f, p, Z, wl) for f, p in zip(fs, phis)], Z.points),
+        (right_action_block(Phi, B, Z, wr), [right_action(p, b, Z, wr) for p, b in zip(phis, bs)], Z.points),
+        (rip_block(Phi, Psi, Z, wl), [rip(p, q, Z, wl) for p, q in zip(phis, psis)], H.arrow_ids),
+        (lip_block(Phi, Psi, Z, wr), [lip(p, q, Z, wr) for p, q in zip(phis, psis)], G.arrow_ids),
+    )
+    for got, want, ids in maps:
+        assert got.shape == (len(rows), len(ids))
+        want = np.array([[e.get(k) for k in ids] for e in want], dtype=np.complex128)
+        # the elements drop their zeros, so adding 0 leaves the sign of a zero out
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def _kernels(Z, wl, wr, seed):

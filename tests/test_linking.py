@@ -139,8 +139,9 @@ class TestLinkingHaar:
         Z = pair_trivial2[0]
         grown = with_isolated_unit(getattr(Z, f"{side}_groupoid"), "x")
         Z = dataclasses.replace(Z, **{f"{side}_groupoid": grown})
-        with pytest.raises(UnknownIdError, match="no point lies over .*unit 'x'"):
+        with pytest.raises(UnknownIdError, match="no point lies over .*unit 'x'") as caught:
             build_linking_haar(build_linking(Z), *counting_pair(Z))
+        assert f"{side} unit 'x'" in str(caught.value)
 
     def test_inversion_image_splits_into_orbit_measures(self):
         """Over a left unit the inverted fiber measure restricts, on the

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from groupoidal import (
@@ -11,7 +12,6 @@ from groupoidal import (
     build_linking,
     build_linking_haar,
     random_element,
-    rip,
     verify_all,
     verify_full_projections,
     verify_imprimitivity,
@@ -20,6 +20,7 @@ from groupoidal import (
 )
 from groupoidal.fixtures import pair_trivialization, transitive_equivalence
 from groupoidal import groupoid, verify
+from groupoidal.algebra import rip_block
 from groupoidal.errors import NonFiniteError
 from groupoidal.verify import AMENABILITY_NOTE, SuiteReport, run_suite, verify_representation_laws
 
@@ -74,7 +75,7 @@ class TestImprimitivitySuite:
         Z, wl, wr = pair_trivial2
 
         def flipped(phi, psi, bispace, haar):
-            return (-1.0) * rip(phi, psi, bispace, haar)
+            return -rip_block(phi, psi, bispace, haar)
 
         report = verify_imprimitivity(Z, wl, wr, samples=10, inner_right=flipped)
         assert report.status == "fail"
@@ -202,6 +203,15 @@ class TestSampler:
     def test_lcg_is_reproducible(self):
         a, b = Lcg(42), Lcg(42)
         assert [a.next_u32() for _ in range(5)] == [b.next_u32() for _ in range(5)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 0x5EED, 0xFFFFFFFF])
+    def test_block_draw_equals_consecutive_draws(self, seed):
+        for count in (0, 1, 2, 3, 63, 64, 65, 1000):
+            one, block = Lcg(seed), Lcg(seed)
+            want = [one.signed() for _ in range(count)]
+            got = block.signed_block(count)
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+            assert block.state == one.state
 
     def test_samples_stay_in_unit_square(self):
         rng = Lcg(7)
